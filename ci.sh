@@ -39,7 +39,8 @@
 #      allocations with tracing disabled), emitting BENCH_serve.json
 #  11. crash/soak smoke                          — journal + wire
 #      recovery tests (torn tails, corrupt records, every-offset frame
-#      truncation, chaos reconnect), then bench_soak --quick: kill -9 /
+#      truncation, chaos reconnect, zero steady-state allocations on
+#      the binary wire path), then bench_soak --quick: kill -9 /
 #      restart cycles under chaos with a durable journal; fails on ANY
 #      fault-campaign invariant violation (epoch must climb, danger→stop
 #      ≤ 30 protocol-s across a restart, watchdog latch on long outages,
@@ -117,7 +118,8 @@ test -s target/BENCH_serve.json || { echo "BENCH_serve.json missing"; exit 1; }
 echo "live serve loop under the 30s ceiling, zero trace allocations (target/BENCH_serve.json)"
 
 echo "== crash/soak smoke (durable journal, chaos links, kill -9 cycles) =="
-cargo test -q -p mcps-serve --release --test journal_recovery --test wire_props --test chaos_reconnect
+cargo test -q -p mcps-serve --release --test journal_recovery --test wire_props --test chaos_reconnect \
+    --test wire_alloc
 cargo build --release -q -p mcps-bench --bin bench_soak
 cargo build --release -q -p mcps-serve --bin mcps-serve
 ./target/release/bench_soak --quick --out target/BENCH_soak.json --max-ms 60000 > /dev/null

@@ -8,7 +8,8 @@
 //! and real I/O:
 //!
 //! * [`wire`] — a self-synchronizing length-prefixed frame codec
-//!   (magic + length + CRC32 + JSON payload) that survives partial
+//!   (magic + length + CRC32s + a fixed-layout binary body for vitals,
+//!   commands and acks, JSON for the rest) that survives partial
 //!   reads, garbage, and bit flips without desyncing.
 //! * [`transport`] — the [`transport::Transport`] trait with in-memory
 //!   channel, stdio-frame and TCP-frame implementations.
@@ -48,4 +49,4 @@ pub use clock::ServeClock;
 pub use host::{ServeConfig, ServeHost, ServeStats};
 pub use journal::{Journal, Recovery};
 pub use transport::{ChannelTransport, FramedTransport, Transport, TransportError};
-pub use wire::{encode_frame, FrameDecoder};
+pub use wire::{encode_frame, encode_frame_into, FrameDecoder};

@@ -15,7 +15,7 @@
 //! client own a clock-driven loop that must keep ticking regardless of
 //! traffic.
 
-use crate::wire::{encode_frame, FrameDecoder};
+use crate::wire::{encode_frame_into, FrameDecoder};
 use mcps_core::msg::NetOp;
 use std::io::{Read, Write};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -86,12 +86,15 @@ impl Transport for ChannelTransport {
 }
 
 /// A transport speaking the [`crate::wire`] frame codec over a byte
-/// stream. Writes go straight to the writer (flushed per frame); reads
+/// stream. Each send encodes into one reused buffer and writes the
+/// whole frame to the writer, flushed, before it returns; reads
 /// happen on a background thread that decodes frames and hands them
 /// over a queue, keeping [`Transport::try_recv`] non-blocking even on
 /// blocking streams like stdin or sockets.
 pub struct FramedTransport<W: Write> {
     writer: W,
+    /// The encode buffer, reused by every send.
+    frame: Vec<u8>,
     rx: Receiver<NetOp>,
     closed: bool,
 }
@@ -109,7 +112,7 @@ impl<W: Write> FramedTransport<W> {
     pub fn new<R: Read + Send + 'static>(reader: R, writer: W) -> Self {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || read_loop(reader, &tx));
-        FramedTransport { writer, rx, closed: false }
+        FramedTransport { writer, frame: Vec::new(), rx, closed: false }
     }
 }
 
@@ -141,12 +144,17 @@ impl FramedTransport<std::io::Stdout> {
 
 impl FramedTransport<std::net::TcpStream> {
     /// A connected TCP stream as a framed transport (the read half is
-    /// a [`std::net::TcpStream::try_clone`] of the socket).
+    /// a [`std::net::TcpStream::try_clone`] of the socket). Sets
+    /// `TCP_NODELAY`: every frame is written whole, so Nagle's
+    /// algorithm would only hold small frames back for the peer's
+    /// delayed ACK.
     ///
     /// # Errors
     ///
-    /// Returns the underlying error if the socket cannot be cloned.
+    /// Returns the underlying error if the socket cannot be configured
+    /// or cloned.
     pub fn tcp(stream: std::net::TcpStream) -> std::io::Result<Self> {
+        stream.set_nodelay(true)?;
         let reader = stream.try_clone()?;
         Ok(FramedTransport::new(reader, stream))
     }
@@ -157,8 +165,8 @@ impl<W: Write> Transport for FramedTransport<W> {
         if self.closed {
             return Err(TransportError::Closed);
         }
-        let frame = encode_frame(op);
-        let res = self.writer.write_all(&frame).and_then(|()| self.writer.flush());
+        encode_frame_into(op, &mut self.frame);
+        let res = self.writer.write_all(&self.frame).and_then(|()| self.writer.flush());
         if let Err(e) = res {
             // A broken pipe means the peer died (the crash harness
             // relies on surviving exactly this); everything else is a
@@ -224,6 +232,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut t = FramedTransport::tcp(stream).unwrap();
+            assert!(t.writer.nodelay().unwrap(), "accepted socket must set TCP_NODELAY");
             // Echo two messages back.
             let mut echoed = 0;
             while echoed < 2 {
@@ -237,6 +246,7 @@ mod tests {
         });
         let stream = std::net::TcpStream::connect(addr).unwrap();
         let mut t = FramedTransport::tcp(stream).unwrap();
+        assert!(t.writer.nodelay().unwrap(), "connected socket must set TCP_NODELAY");
         t.send(&cmd(1)).unwrap();
         t.send(&cmd(2)).unwrap();
         let mut got = Vec::new();

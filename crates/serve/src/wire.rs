@@ -2,18 +2,17 @@
 //!
 //! A frame is `MAGIC (4 bytes) ++ length (u32 LE) ++ header crc32
 //! (u32 LE, over magic ++ length) ++ payload crc32 (u32 LE) ++
-//! payload`, where the payload is the JSON serialization of one
-//! [`NetOp`]. The magic makes the stream self-synchronizing: a decoder
-//! that lands mid-frame (or is fed garbage) scans forward to the next
-//! magic instead of misinterpreting arbitrary bytes as a length and
-//! desynchronizing forever. The scan advances one byte at a time past
-//! a bad candidate, so a true frame start inside the skipped region is
-//! never jumped over.
+//! payload`, where the payload is one [`NetOp`] body. The magic makes
+//! the stream self-synchronizing: a decoder that lands mid-frame (or is
+//! fed garbage) scans forward to the next magic instead of
+//! misinterpreting arbitrary bytes as a length and desynchronizing
+//! forever. The scan advances one byte at a time past a bad candidate,
+//! so a true frame start inside the skipped region is never jumped
+//! over.
 //!
-//! The CRCs are the chaos-hardening half. The payload checksum: a JSON
-//! payload with a few flipped bits usually fails to parse, but
-//! *usually* is not a safety argument — a lucky flip inside a numeric
-//! field still parses and would silently alter a command id or fencing
+//! The CRCs are the chaos-hardening half. The payload checksum: a
+//! payload with a few flipped bits may still decode — a lucky flip
+//! inside a numeric field would silently alter a command id or fencing
 //! epoch (a corrupted high epoch would poison a device's fence and
 //! lock every later legitimate supervisor out). The *header* checksum
 //! protects the length field itself: without it, one flipped bit in
@@ -23,8 +22,51 @@
 //! both checksums a corrupted frame is rejected deterministically and
 //! at once, the decoder resyncs, and the protocol's retry/heartbeat
 //! machinery covers the loss.
+//!
+//! # Body formats
+//!
+//! The hot ops — vitals (`Data`), commands (heartbeats included) and
+//! acks, either delivered (`Deliver`) or sent to one endpoint
+//! (`Send` to [`NetAddress::Endpoint`]) — always travel as a
+//! fixed-layout little-endian body, encoded without allocating and
+//! decoded from the borrowed payload slice. Everything else
+//! (`Announce`, `Checkpoint`, topic-addressed sends) travels as the
+//! JSON serialization of the [`NetOp`]. The first payload byte picks
+//! the format: a binary body opens with a tag byte below `0x20` that is
+//! not JSON whitespace (`\t`, `\n`, `\r`), which no JSON text can start
+//! with. The decoder accepts JSON for every op.
+//!
+//! | tag    | op                       | fields after the tag                                   | body bytes |
+//! |--------|--------------------------|--------------------------------------------------------|-----------:|
+//! | `0x01` | `Deliver` + `Data`       | from u32, kind u8, value f64, sampled_at u64           | 22 |
+//! | `0x02` | `Deliver` + `Command`    | from u32, id u64, epoch u64, command u8, arg u64       | 30 |
+//! | `0x03` | `Deliver` + `Ack`        | from u32, id u64, command u8, arg u64, applied_at u64  | 30 |
+//! | `0x04` | `Send` + `Data`          | from u32, to u32, then as `0x01`                       | 26 |
+//! | `0x05` | `Send` + `Command`       | from u32, to u32, then as `0x02`                       | 34 |
+//! | `0x06` | `Send` + `Ack`           | from u32, to u32, then as `0x03`                       | 34 |
+//!
+//! Every field is little-endian. `from`/`to` are endpoint indices;
+//! times are microseconds ([`SimTime::as_micros`]); `value` is the
+//! IEEE-754 bit pattern of the `f64`. `kind` is the vital code (Spo2 0,
+//! HeartRate 1, RespRate 2, Etco2 3, BpSystolic 4, BpDiastolic 5,
+//! MinuteVentilation 6). `command` is the command code (StopPump 0,
+//! ResumePump 1, GrantTicket 2, PauseVentilation 3, ResumeVentilation
+//! 4, ArmExposure 5, Expose 6, Heartbeat 7) and `arg` its duration in
+//! microseconds — the ticket validity or pause length, and zero for
+//! every other command. The decoder is strict: an unknown tag or code,
+//! a nonzero `arg` on a command without one, or a body of the wrong
+//! length rejects the frame, so every accepted binary body re-encodes
+//! to the same bytes.
+//!
+//! Binary keeps the exact bits of every float, NaN payloads and
+//! infinities included. JSON cannot: it writes a non-finite value as
+//! `null`, which decodes as NaN.
 
-use mcps_core::msg::NetOp;
+use mcps_core::msg::{NetAddress, NetOp, NetPayload};
+use mcps_core::IceCommand;
+use mcps_net::fabric::EndpointId;
+use mcps_patient::vitals::VitalKind;
+use mcps_sim::time::{SimDuration, SimTime};
 
 /// Frame start marker.
 pub const MAGIC: [u8; 4] = *b"MCP1";
@@ -37,38 +79,258 @@ pub const HEADER_LEN: usize = 16;
 /// (profiles are the largest); anything claiming more is corruption.
 pub const MAX_FRAME: usize = 1 << 20;
 
+/// CRC-32 lookup table for the reflected IEEE polynomial, built at
+/// compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected polynomial) over `bytes` — the same
-/// checksum the journal uses for its records. Bitwise, no table: the
-/// inputs are protocol-sized, not bulk data.
+/// checksum the journal uses for its records. One table lookup per
+/// byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Encodes one [`NetOp`] as a framed byte sequence.
+/// Binary body tag of a delivered op; add [`DATA`], [`COMMAND`] or
+/// [`ACK`].
+const TAG_DELIVER: u8 = 0x01;
+/// Binary body tag of an endpoint-addressed send; add the payload kind.
+const TAG_SEND: u8 = 0x04;
+const DATA: u8 = 0;
+const COMMAND: u8 = 1;
+const ACK: u8 = 2;
+
+/// The longest binary body (`Send` + `Command` or `Ack`).
+const MAX_BINARY_BODY: usize = 34;
+
+/// Whether a payload opening with `first` is a binary body: a control
+/// byte that is not JSON whitespace, so never the start of JSON text.
+const fn is_binary(first: u8) -> bool {
+    first < 0x20 && !matches!(first, b'\t' | b'\n' | b'\r')
+}
+
+/// Encodes one [`NetOp`] as a framed byte sequence in a fresh buffer.
+/// Hot ops cost exactly this one allocation; see
+/// [`encode_frame_into`] to reuse a buffer instead.
 ///
 /// # Panics
 ///
 /// Panics if the payload fails to serialize (all wire types are plain
 /// data; this cannot happen for well-formed messages).
 pub fn encode_frame(op: &NetOp) -> Vec<u8> {
-    let body = serde_json::to_string(op).expect("NetOp serializes");
-    let body = body.as_bytes();
-    let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&u32::try_from(body.len()).expect("frame < 4 GiB").to_le_bytes());
-    let hcrc = crc32(&frame[..8]);
-    frame.extend_from_slice(&hcrc.to_le_bytes());
-    frame.extend_from_slice(&crc32(body).to_le_bytes());
-    frame.extend_from_slice(body);
+    let mut frame = Vec::with_capacity(HEADER_LEN + MAX_BINARY_BODY);
+    encode_frame_into(op, &mut frame);
     frame
+}
+
+/// Encodes one [`NetOp`] as a framed byte sequence into `frame`,
+/// replacing its contents. A hot op into a buffer that has held a frame
+/// before does not allocate.
+///
+/// # Panics
+///
+/// As [`encode_frame`].
+pub fn encode_frame_into(op: &NetOp, frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.extend_from_slice(&[0; HEADER_LEN]);
+    if !put_binary_body(op, frame) {
+        let body = serde_json::to_string(op).expect("NetOp serializes");
+        frame.extend_from_slice(body.as_bytes());
+    }
+    let len = u32::try_from(frame.len() - HEADER_LEN).expect("frame < 4 GiB");
+    frame[..4].copy_from_slice(&MAGIC);
+    frame[4..8].copy_from_slice(&len.to_le_bytes());
+    let hcrc = crc32(&frame[..8]);
+    frame[8..12].copy_from_slice(&hcrc.to_le_bytes());
+    let pcrc = crc32(&frame[HEADER_LEN..]);
+    frame[12..16].copy_from_slice(&pcrc.to_le_bytes());
+}
+
+/// Appends the binary body of a hot op; returns `false` (appending
+/// nothing) for an op that travels as JSON.
+fn put_binary_body(op: &NetOp, out: &mut Vec<u8>) -> bool {
+    let (tag, from, to, payload) = match op {
+        NetOp::Deliver { from, payload } => (TAG_DELIVER, *from, None, payload),
+        NetOp::Send { from, to: NetAddress::Endpoint(to), payload } => {
+            (TAG_SEND, *from, Some(*to), payload)
+        }
+        NetOp::Send { to: NetAddress::Topic(_), .. } => return false,
+    };
+    let head = |out: &mut Vec<u8>, kind: u8| {
+        out.push(tag + kind);
+        out.extend_from_slice(&from.index().to_le_bytes());
+        if let Some(to) = to {
+            out.extend_from_slice(&to.index().to_le_bytes());
+        }
+    };
+    match payload {
+        NetPayload::Data { kind, value, sampled_at } => {
+            head(out, DATA);
+            out.push(vital_code(*kind));
+            out.extend_from_slice(&value.to_bits().to_le_bytes());
+            out.extend_from_slice(&sampled_at.as_micros().to_le_bytes());
+        }
+        NetPayload::Command { id, epoch, command } => {
+            head(out, COMMAND);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&epoch.to_le_bytes());
+            put_command(*command, out);
+        }
+        NetPayload::Ack { id, command, applied_at } => {
+            head(out, ACK);
+            out.extend_from_slice(&id.to_le_bytes());
+            put_command(*command, out);
+            out.extend_from_slice(&applied_at.as_micros().to_le_bytes());
+        }
+        NetPayload::Announce { .. } | NetPayload::Checkpoint { .. } => return false,
+    }
+    true
+}
+
+fn put_command(command: IceCommand, out: &mut Vec<u8>) {
+    let (code, arg) = match command {
+        IceCommand::StopPump => (0, SimDuration::ZERO),
+        IceCommand::ResumePump => (1, SimDuration::ZERO),
+        IceCommand::GrantTicket { validity } => (2, validity),
+        IceCommand::PauseVentilation { duration } => (3, duration),
+        IceCommand::ResumeVentilation => (4, SimDuration::ZERO),
+        IceCommand::ArmExposure => (5, SimDuration::ZERO),
+        IceCommand::Expose => (6, SimDuration::ZERO),
+        IceCommand::Heartbeat => (7, SimDuration::ZERO),
+    };
+    out.push(code);
+    out.extend_from_slice(&arg.as_micros().to_le_bytes());
+}
+
+/// The wire code of a vital kind (pinned here, not derived from the
+/// enum's declaration order, so reordering the enum cannot change the
+/// wire format).
+const fn vital_code(kind: VitalKind) -> u8 {
+    match kind {
+        VitalKind::Spo2 => 0,
+        VitalKind::HeartRate => 1,
+        VitalKind::RespRate => 2,
+        VitalKind::Etco2 => 3,
+        VitalKind::BpSystolic => 4,
+        VitalKind::BpDiastolic => 5,
+        VitalKind::MinuteVentilation => 6,
+    }
+}
+
+const fn vital_from_code(code: u8) -> Option<VitalKind> {
+    Some(match code {
+        0 => VitalKind::Spo2,
+        1 => VitalKind::HeartRate,
+        2 => VitalKind::RespRate,
+        3 => VitalKind::Etco2,
+        4 => VitalKind::BpSystolic,
+        5 => VitalKind::BpDiastolic,
+        6 => VitalKind::MinuteVentilation,
+        _ => return None,
+    })
+}
+
+/// A cursor over a borrowed binary body.
+struct Body<'a>(&'a [u8]);
+
+impl Body<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.take::<1>().map(|[b]| b)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn endpoint(&mut self) -> Option<EndpointId> {
+        self.u32().map(EndpointId::from_index)
+    }
+
+    fn time(&mut self) -> Option<SimTime> {
+        self.u64().map(SimTime::from_micros)
+    }
+
+    fn command(&mut self) -> Option<IceCommand> {
+        let code = self.u8()?;
+        let arg = SimDuration::from_micros(self.u64()?);
+        let argless = |cmd| (arg == SimDuration::ZERO).then_some(cmd);
+        match code {
+            0 => argless(IceCommand::StopPump),
+            1 => argless(IceCommand::ResumePump),
+            2 => Some(IceCommand::GrantTicket { validity: arg }),
+            3 => Some(IceCommand::PauseVentilation { duration: arg }),
+            4 => argless(IceCommand::ResumeVentilation),
+            5 => argless(IceCommand::ArmExposure),
+            6 => argless(IceCommand::Expose),
+            7 => argless(IceCommand::Heartbeat),
+            _ => None,
+        }
+    }
+}
+
+/// Decodes a binary body; `None` unless it is exactly one well-formed
+/// body.
+fn decode_binary(body: &[u8]) -> Option<NetOp> {
+    let mut b = Body(body);
+    let tag = b.u8()?;
+    let (send, kind) = match tag {
+        t if (TAG_DELIVER..=TAG_DELIVER + ACK).contains(&t) => (false, t - TAG_DELIVER),
+        t if (TAG_SEND..=TAG_SEND + ACK).contains(&t) => (true, t - TAG_SEND),
+        _ => return None,
+    };
+    let from = b.endpoint()?;
+    let to = if send { Some(b.endpoint()?) } else { None };
+    let payload = match kind {
+        DATA => NetPayload::Data {
+            kind: vital_from_code(b.u8()?)?,
+            value: f64::from_bits(b.u64()?),
+            sampled_at: b.time()?,
+        },
+        COMMAND => NetPayload::Command { id: b.u64()?, epoch: b.u64()?, command: b.command()? },
+        _ => NetPayload::Ack { id: b.u64()?, command: b.command()?, applied_at: b.time()? },
+    };
+    if !b.0.is_empty() {
+        return None;
+    }
+    Some(match to {
+        None => NetOp::Deliver { from, payload },
+        Some(to) => NetOp::Send { from, to: NetAddress::Endpoint(to), payload },
+    })
+}
+
+/// Decodes a frame payload in whichever format its first byte names.
+fn decode_body(payload: &[u8]) -> Option<NetOp> {
+    match payload.first() {
+        Some(&first) if is_binary(first) => decode_binary(payload),
+        _ => std::str::from_utf8(payload).ok().and_then(|s| serde_json::from_str(s).ok()),
+    }
 }
 
 /// An incremental frame decoder.
@@ -177,7 +439,7 @@ impl FrameDecoder {
                 self.garbage_bytes += 1;
                 continue;
             }
-            match std::str::from_utf8(payload).ok().and_then(|s| serde_json::from_str(s).ok()) {
+            match decode_body(payload) {
                 Some(op) => {
                     self.pos += HEADER_LEN + len;
                     self.frames_decoded += 1;
@@ -347,5 +609,27 @@ mod tests {
     fn crc32_known_vector() {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The bitwise CRC-32 the table replaced: the oracle the table must
+    /// match, since the journal's on-disk records use the same sum.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        fn crc32_table_matches_bitwise_oracle(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
     }
 }
