@@ -2,6 +2,9 @@
 # Repo CI gate. Run from anywhere; fails fast on the first broken step.
 #
 #   1. cargo fmt --check                        — formatting (rustfmt.toml)
+#   1a. one runtime surface                     — no source or manifest may
+#      name the removed mcps-sim facade (mcps_sim / mcps-sim / mcps::sim);
+#      the kernel is imported from mcps_runtime only
 #   2. cargo clippy --workspace -D warnings     — lints, all targets
 #   3. cargo build --release && cargo test -q   — the tier-1 gate (ROADMAP.md)
 #
@@ -51,6 +54,12 @@ cd "$(dirname "$0")"
 
 echo "== fmt =="
 cargo fmt --check
+
+echo "== one runtime surface (no mcps-sim facade paths) =="
+if git grep -nE 'mcps[_-]sim|mcps::sim' -- '*.rs' '*.toml'; then
+    echo "the mcps-sim facade is gone; import the kernel from mcps_runtime"
+    exit 1
+fi
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

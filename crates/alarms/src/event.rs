@@ -1,6 +1,6 @@
 //! Alarm event vocabulary.
 
-use mcps_sim::time::SimTime;
+use mcps_runtime::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

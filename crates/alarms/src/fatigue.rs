@@ -8,7 +8,7 @@
 //! same nurse model converts a false-alarm-rate difference into a
 //! *missed-true-alarm* difference — the number that matters.
 
-use mcps_sim::rng::{bernoulli, log_normal};
+use mcps_runtime::rng::{bernoulli, log_normal};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -170,9 +170,9 @@ pub fn operational_score_labeled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
-    fn rng() -> mcps_sim::rng::SimRng {
+    fn rng() -> mcps_runtime::rng::SimRng {
         RngFactory::new(12).stream("fatigue")
     }
 

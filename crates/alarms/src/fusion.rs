@@ -14,7 +14,7 @@
 
 use crate::event::{AlarmEvent, AlarmPhase, AlarmPriority};
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::time::SimTime;
+use mcps_runtime::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

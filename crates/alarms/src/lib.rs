@@ -22,7 +22,7 @@
 //! ```
 //! use mcps_alarms::fusion::FusionAlarm;
 //! use mcps_patient::vitals::VitalKind;
-//! use mcps_sim::time::SimTime;
+//! use mcps_runtime::time::SimTime;
 //! use std::collections::BTreeMap;
 //!
 //! let mut alarm = FusionAlarm::pca_default();

@@ -6,7 +6,7 @@
 //! log experiments mine for onset times.
 
 use crate::event::{AlarmEvent, AlarmPhase, AlarmPriority};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

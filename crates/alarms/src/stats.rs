@@ -149,7 +149,7 @@ impl AlarmScore {
     /// Writes the score into a [`Telemetry`] bus under `prefix`
     /// (`{prefix}.true_alarms`, `{prefix}.sensitivity`, …), making the
     /// bus the single sink experiment binaries aggregate from.
-    pub fn export_into(&self, bus: &mut mcps_sim::metrics::Telemetry, prefix: &str) {
+    pub fn export_into(&self, bus: &mut mcps_runtime::telemetry::Telemetry, prefix: &str) {
         bus.incr(&format!("{prefix}.true_alarms"), u64::from(self.true_alarms));
         bus.incr(&format!("{prefix}.false_alarms"), u64::from(self.false_alarms));
         bus.incr(&format!("{prefix}.detected_episodes"), u64::from(self.detected_episodes));

@@ -10,7 +10,7 @@
 //! score.
 
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 

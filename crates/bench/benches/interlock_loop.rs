@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps_core::scenarios::ward::{run_ward_scenario, WardConfig};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
-use mcps_sim::time::SimDuration;
+use mcps_runtime::time::SimDuration;
 
 fn bench_sharded_cohort(c: &mut Criterion) {
     // The same cohort fanned out over the runtime's shard pool — the

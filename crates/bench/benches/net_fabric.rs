@@ -14,8 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcps_net::fabric::{Fabric, PlannedDelivery, Topic};
 use mcps_net::qos::{LinkQos, OutagePlan};
 use mcps_net::reference::ReferenceFabric;
-use mcps_sim::rng::RngFactory;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::rng::RngFactory;
+use mcps_runtime::time::{SimDuration, SimTime};
 
 /// Heterogeneous per-link QoS: base with a per-link latency tweak.
 fn link_qos_for(base: LinkQos, i: usize) -> LinkQos {

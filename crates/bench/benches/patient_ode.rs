@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
 use mcps_patient::patient::{PatientParams, VirtualPatient};
-use mcps_sim::rng::RngFactory;
+use mcps_runtime::rng::RngFactory;
 
 fn bench_advance(c: &mut Criterion) {
     c.bench_function("patient/one_hour_1hz", |b| {

@@ -4,8 +4,7 @@
 //! cost (one producer driving N consumers) and batched same-instant
 //! dispatch (the scheduler draining whole instants at once),
 //! establishing the platform budget that makes cohort-scale
-//! experiments feasible. Benches the runtime crate directly — the
-//! `mcps_sim` facade adds no code of its own.
+//! experiments feasible. Benches the runtime crate directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcps_runtime::prelude::*;

@@ -21,8 +21,8 @@
 
 use mcps_bench::{fnum, Args, Table};
 use mcps_core::scenarios::campus::{run_campus, CampusConfig, WardOutcome};
-use mcps_sim::shard::ShardStats;
-use mcps_sim::time::SimDuration;
+use mcps_runtime::shard::ShardStats;
+use mcps_runtime::time::SimDuration;
 use std::time::Instant;
 
 #[derive(Debug, serde::Serialize)]

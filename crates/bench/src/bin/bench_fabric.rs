@@ -24,8 +24,8 @@ use mcps_bench::Args;
 use mcps_net::fabric::{Fabric, PlannedDelivery, Topic};
 use mcps_net::qos::LinkQos;
 use mcps_net::reference::ReferenceFabric;
-use mcps_sim::rng::RngFactory;
-use mcps_sim::time::SimTime;
+use mcps_runtime::rng::RngFactory;
+use mcps_runtime::time::SimTime;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -56,12 +56,14 @@ struct BenchReport {
 /// per-link state the dense engine packs into one record while the
 /// reference walks three separate trees per message.
 fn link_qos_for(base: LinkQos, i: usize) -> LinkQos {
-    base.with_latency(base.base_latency + mcps_sim::time::SimDuration::from_micros(i as u64 % 32))
+    base.with_latency(
+        base.base_latency + mcps_runtime::time::SimDuration::from_micros(i as u64 % 32),
+    )
 }
 
 fn stale_outage() -> mcps_net::qos::OutagePlan {
     mcps_net::qos::OutagePlan::none()
-        .with_outage(SimTime::ZERO, SimTime::ZERO + mcps_sim::time::SimDuration::from_micros(1))
+        .with_outage(SimTime::ZERO, SimTime::ZERO + mcps_runtime::time::SimDuration::from_micros(1))
 }
 
 /// Builds a fabric (dense or reference is decided by the caller's

@@ -29,7 +29,7 @@
 //!
 //! Usage: `bench_runtime [--out PATH] [--events N] [--quick] [--max-ms MS]`
 
-use mcps_bench::{parallel_map, Args};
+use mcps_bench::Args;
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
@@ -399,7 +399,7 @@ fn e1_cohort(patients: u64, hours: f64) -> E1CohortReport {
     let mut severe = 0u64;
     for interlock in arms {
         let cohort = CohortGenerator::new(seed, CohortConfig::default());
-        let shard_severe = parallel_map((0..patients).collect(), |i| {
+        let shard_severe = run_shards((0..patients).collect(), |i| {
             let params = cohort.params(i);
             let mut cfg = match interlock {
                 Some(il) => {

@@ -28,12 +28,12 @@ use mcps_core::msg::{NetOp, NetPayload};
 use mcps_core::{PcaSafetyApp, SupervisorCore};
 use mcps_device::pump::PcaPump;
 use mcps_patient::vitals::VitalKind;
+use mcps_runtime::telemetry::percentile;
+use mcps_runtime::time::{SimDuration, SimTime};
 use mcps_serve::client::{CAP_EP, OX_EP, PUMP_EP, SUP_EP};
 use mcps_serve::host::{ServeConfig, ServeHost};
 use mcps_serve::transport::{ChannelTransport, Transport};
 use mcps_serve::PcaBedClient;
-use mcps_sim::stats::percentile;
-use mcps_sim::time::{SimDuration, SimTime};
 use serde::Serialize;
 use std::time::Instant;
 

@@ -37,13 +37,13 @@ use mcps_core::msg::{NetOp, NetPayload};
 use mcps_core::{PcaSafetyApp, SupervisorCore};
 use mcps_net::fabric::EndpointId;
 use mcps_patient::vitals::VitalKind;
+use mcps_runtime::telemetry::percentile;
+use mcps_runtime::time::SimDuration;
 use mcps_serve::chaos::{ChaosConfig, ChaosStats, ChaosTransport};
 use mcps_serve::client::{PcaBedClient, ReconnectPolicy, SUP_EP};
 use mcps_serve::host::{ServeConfig, ServeHost};
 use mcps_serve::journal::Journal;
 use mcps_serve::transport::{ChannelTransport, FramedTransport, Transport};
-use mcps_sim::stats::percentile;
-use mcps_sim::time::SimDuration;
 use serde::Serialize;
 use std::cell::RefCell;
 use std::net::TcpStream;
@@ -208,7 +208,7 @@ impl NoisePeer {
                 payload: NetPayload::Data {
                     kind: VitalKind::RespRate,
                     value: 13.0 + (self.sent % 3) as f64,
-                    sampled_at: mcps_sim::time::SimTime::from_millis(self.sent),
+                    sampled_at: mcps_runtime::time::SimTime::from_millis(self.sent),
                 },
             };
             if t.send(&op).is_err() {

@@ -11,7 +11,7 @@
 //! * `trend-ticket` — fusion plus slope-based early detection.
 //!
 //! Each arm fans the cohort out over seed-isolated shards
-//! (`run_shards` via [`parallel_map`]); every patient writes a private
+//! ([`run_shards`]); every patient writes a private
 //! [`Telemetry`] bus and the arm's statistics are the deterministic
 //! merge of those buses, so the parallel run is byte-identical to a
 //! serial one.
@@ -22,13 +22,13 @@
 //!
 //! Usage: `e1_pca_interlock [--patients N] [--hours H] [--proxy P] [--seed S] [--report]`
 
-use mcps_bench::{fnum, parallel_map, Args, Table};
+use mcps_bench::{fnum, Args, Table};
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
-use mcps_sim::metrics::Telemetry;
-use mcps_sim::stats::Summary;
-use mcps_sim::time::SimDuration;
+use mcps_runtime::shard::run_shards;
+use mcps_runtime::telemetry::{Summary, Telemetry};
+use mcps_runtime::time::SimDuration;
 
 fn run_arm(
     name: &'static str,
@@ -39,7 +39,7 @@ fn run_arm(
     seed: u64,
 ) -> Telemetry {
     let cohort = CohortGenerator::new(seed, CohortConfig::default());
-    let shards = parallel_map((0..patients).collect(), |i| {
+    let shards = run_shards((0..patients).collect(), |i| {
         let params = cohort.params(i);
         let mut cfg = match interlock {
             Some(il) => {

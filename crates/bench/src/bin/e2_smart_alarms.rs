@@ -5,19 +5,20 @@
 //! comes from the noise-free patient state.
 //!
 //! Each seed is one shard: the replicate wards run through the
-//! runtime's deterministic shard pool (`run_shards` via
-//! [`parallel_map`]) and their scores are merged in seed order, then
-//! exported into a single [`Telemetry`] bus.
+//! runtime's deterministic shard pool ([`run_shards`]) and their scores
+//! are merged in seed order, then exported into a single [`Telemetry`]
+//! bus.
 //!
 //! Expected shape: the fusion alarm cuts the false-alarm rate several
 //! fold at comparable sensitivity.
 //!
 //! Usage: `e2_smart_alarms [--patients N] [--hours H] [--seeds K] [--report]`
 
-use mcps_bench::{fnum, parallel_map, Args, Table};
+use mcps_bench::{fnum, Args, Table};
 use mcps_core::scenarios::ward::{run_ward_scenario, WardConfig};
-use mcps_sim::metrics::Telemetry;
-use mcps_sim::time::SimDuration;
+use mcps_runtime::shard::run_shards;
+use mcps_runtime::telemetry::Telemetry;
+use mcps_runtime::time::SimDuration;
 
 fn main() {
     let args = Args::parse();
@@ -30,7 +31,7 @@ fn main() {
 
     // One shard per seed; each shard runs the plain ward and the
     // NIBP-cuff ward for that seed on its own isolated RNG streams.
-    let outs = parallel_map((0..seeds).collect(), |seed| {
+    let outs = run_shards((0..seeds).collect(), |seed| {
         let cfg = WardConfig {
             seed,
             patients,

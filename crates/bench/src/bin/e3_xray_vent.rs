@@ -12,7 +12,7 @@
 
 use mcps_bench::{fnum, Args, Table};
 use mcps_core::scenarios::xray::{run_xray_scenario, XRayScenarioConfig};
-use mcps_sim::time::SimDuration;
+use mcps_runtime::time::SimDuration;
 
 fn aggregate(cfgs: impl Iterator<Item = XRayScenarioConfig>) -> (u32, u32, u32, u32, f64) {
     let (mut req, mut blur_free, mut auto, mut aborted, mut pause_sum, mut n) =

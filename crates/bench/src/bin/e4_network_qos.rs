@@ -13,13 +13,14 @@
 //!
 //! Usage: `e4_network_qos [--patients N] [--hours H] [--seed S]`
 
-use mcps_bench::{fnum, parallel_map, Args, Table};
+use mcps_bench::{fnum, Args, Table};
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps_net::qos::LinkQos;
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
-use mcps_sim::metrics::Telemetry;
-use mcps_sim::time::SimDuration;
+use mcps_runtime::shard::run_shards;
+use mcps_runtime::telemetry::Telemetry;
+use mcps_runtime::time::SimDuration;
 
 struct Cell {
     severe_secs: f64,
@@ -30,7 +31,7 @@ struct Cell {
 fn run_cell_with(
     strategy: InterlockStrategy,
     qos: LinkQos,
-    outages: Vec<(mcps_sim::time::SimTime, mcps_sim::time::SimTime)>,
+    outages: Vec<(mcps_runtime::time::SimTime, mcps_runtime::time::SimTime)>,
     patients: u64,
     hours: f64,
     seed: u64,
@@ -43,7 +44,7 @@ fn run_cell_with(
     );
     let mut severe = 0.0;
     let mut analgesia = 0.0;
-    let outcomes = parallel_map((0..patients).collect(), |i| {
+    let outcomes = run_shards((0..patients).collect(), |i| {
         let mut cfg = PcaScenarioConfig::baseline(seed.wrapping_add(i), cohort.params(i));
         cfg.duration = SimDuration::from_secs_f64(hours * 3600.0);
         cfg.proxy_rate_per_hour = 8.0;
@@ -155,8 +156,8 @@ fn main() {
                 vec![]
             } else {
                 vec![(
-                    mcps_sim::time::SimTime::from_mins(30),
-                    mcps_sim::time::SimTime::from_mins(30 + mins),
+                    mcps_runtime::time::SimTime::from_mins(30),
+                    mcps_runtime::time::SimTime::from_mins(30 + mins),
                 )]
             };
             let cell = run_cell_with(strategy, LinkQos::wired(), outages, patients, hours, seed);

@@ -14,13 +14,13 @@
 //!
 //! Usage: `e5_verification [--budget STATES] [--trace]`
 //!
-//! [`Telemetry`]: mcps_sim::metrics::Telemetry
+//! [`Telemetry`]: mcps_runtime::telemetry::Telemetry
 
 use mcps_bench::{Args, Table};
+use mcps_runtime::telemetry::Telemetry;
 use mcps_safety::checker::CheckOutcome;
 use mcps_safety::models::{check_pca_variant_stats, PcaModelVariant};
 use mcps_safety::pack::ExploreMode;
-use mcps_sim::metrics::Telemetry;
 use std::time::Instant;
 
 fn main() {

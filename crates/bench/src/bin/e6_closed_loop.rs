@@ -20,8 +20,8 @@ use mcps_control::closed_loop::{
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
 use mcps_patient::sensors::{SensorSpec, SimulatedSensor};
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::rng::RngFactory;
-use mcps_sim::stats::Summary;
+use mcps_runtime::rng::RngFactory;
+use mcps_runtime::telemetry::Summary;
 
 /// Therapeutic band of effect-site concentration, mg/L.
 const BAND: (f64, f64) = (0.04, 0.10);

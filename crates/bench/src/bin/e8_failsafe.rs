@@ -17,8 +17,8 @@ use mcps_bench::{fnum, Args, Table};
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps_device::faults::{FaultKind, FaultPlan};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
-use mcps_sim::stats::Summary;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::telemetry::Summary;
+use mcps_runtime::time::{SimDuration, SimTime};
 
 /// The deadline by which the fail-safe must engage: freshness timeout
 /// (10 s) + ticket validity (15 s) + one control period of slack.

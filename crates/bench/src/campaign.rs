@@ -47,13 +47,12 @@
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig, PcaScenarioOutcome};
 use mcps_device::faults::{FaultKind, FaultPlan};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
+use mcps_runtime::shard::run_shards;
+use mcps_runtime::telemetry::Summary;
+use mcps_runtime::time::{SimDuration, SimTime};
 use mcps_safety::models::check_failover_variant;
 use mcps_safety::{FailoverModelVariant, Step};
-use mcps_sim::stats::Summary;
-use mcps_sim::time::{SimDuration, SimTime};
 use serde::Serialize;
-
-use crate::parallel_map;
 
 /// Freshness-visible faults: freshness timeout (10 s) + ticket
 /// validity (15 s) + one control period of slack.
@@ -656,7 +655,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let mut grid = build_grid(cfg);
     grid.extend(mined_failover_cells());
     let cfg_ref = cfg.clone();
-    let cells = parallel_map(grid, move |spec| run_cell(&spec, &cfg_ref));
+    let cells = run_shards(grid, move |spec| run_cell(&spec, &cfg_ref));
     let total_violations = cells.iter().map(|c| c.violations).sum();
     let total_spurious = cells.iter().map(|c| c.spurious_degradations).sum();
     let max_ready_depth = cells.iter().map(|c| c.queue.max_ready_depth).max().unwrap_or(0);

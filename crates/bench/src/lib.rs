@@ -12,22 +12,6 @@ use std::fmt::Write as _;
 
 pub mod campaign;
 
-/// Maps `f` over `items` on a small worker pool, preserving order.
-/// Scenario runs are pure and independent, so cohort experiments
-/// parallelize trivially; this keeps the full-size tables fast.
-///
-/// Thin alias for [`mcps_runtime::shard::run_shards`], kept for the
-/// experiment binaries that predate the runtime crate. See that
-/// function's docs for the determinism rules shard closures must obey.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    mcps_runtime::shard::run_shards(items, f)
-}
-
 /// A minimal fixed-width table printer for experiment output.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -236,20 +220,6 @@ mod tests {
         assert!(a.has_flag("quick"));
         assert!(!a.has_flag("missing"));
         assert_eq!(a.get_u64("absent", 7), 7);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order_and_results() {
-        let items: Vec<u64> = (0..200).collect();
-        let out = parallel_map(items.clone(), |x| x * x);
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        assert_eq!(parallel_map(Vec::<u8>::new(), |x| x), Vec::<u8>::new());
-        assert_eq!(parallel_map(vec![7], |x| x + 1), vec![8]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use mcps_alarms::threshold::ThresholdAlarm;
 use mcps_alarms::trend::{DeteriorationTrend, TrendConfig};
 use mcps_net::monitor::FreshnessMonitor;
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

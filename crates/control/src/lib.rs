@@ -15,7 +15,7 @@
 //! ```
 //! use mcps_control::interlock::{InterlockConfig, PcaInterlock};
 //! use mcps_patient::vitals::VitalKind;
-//! use mcps_sim::time::SimTime;
+//! use mcps_runtime::time::SimTime;
 //!
 //! let mut supervisor = PcaInterlock::new(InterlockConfig::default());
 //! supervisor.on_measurement(SimTime::from_secs(1), VitalKind::Spo2, 97.0);

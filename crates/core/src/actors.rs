@@ -13,9 +13,9 @@ use mcps_device::ventilator::Ventilator;
 use mcps_device::xray::XRayMachine;
 use mcps_net::fabric::{EndpointId, Topic};
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::actor::{Actor, ActorId};
-use mcps_sim::kernel::Context;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::actor::{Actor, ActorId};
+use mcps_runtime::kernel::Context;
+use mcps_runtime::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 use std::collections::VecDeque;
@@ -729,7 +729,7 @@ mod tests {
     use mcps_net::fabric::Fabric;
     use mcps_net::qos::LinkQos;
     use mcps_patient::patient::{PatientParams, VirtualPatient};
-    use mcps_sim::kernel::Simulation;
+    use mcps_runtime::kernel::Simulation;
 
     /// Records network deliveries addressed to it.
     #[derive(Debug, Default)]

@@ -9,8 +9,8 @@
 
 use mcps_device::profile::DeviceRequirementSet;
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::rng::SimRng;
-use mcps_sim::time::SimTime;
+use mcps_runtime::rng::SimRng;
+use mcps_runtime::time::SimTime;
 
 use crate::manager::DeviceManager;
 use crate::msg::IceCommand;
@@ -96,10 +96,10 @@ impl<'a> AppCtx<'a> {
 /// [`AppCtx`]. See [`crate::apps::PcaSafetyApp`] for the paper's
 /// flagship example.
 ///
-/// The [`AsAny`](mcps_sim::actor::AsAny) supertrait (blanket-implemented
+/// The [`AsAny`](mcps_runtime::actor::AsAny) supertrait (blanket-implemented
 /// for every `'static` type) lets experiment harnesses downcast to the
 /// concrete app after a run.
-pub trait ClinicalApp: mcps_sim::actor::AsAny {
+pub trait ClinicalApp: mcps_runtime::actor::AsAny {
     /// The device slots this app requires.
     fn requirements(&self) -> Vec<DeviceRequirementSet>;
 
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn ctx_collects_commands_and_notes() {
         let manager = DeviceManager::new(vec![]);
-        let mut rng = mcps_sim::rng::RngFactory::new(1).stream("appctx");
+        let mut rng = mcps_runtime::rng::RngFactory::new(1).stream("appctx");
         let mut ctx = AppCtx::new(SimTime::from_secs(3), &manager, &mut rng);
         assert_eq!(ctx.now(), SimTime::from_secs(3));
         assert!(ctx.fully_associated(), "no slots = trivially associated");
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn disabled_notes_build_nothing() {
         let manager = DeviceManager::new(vec![]);
-        let mut rng = mcps_sim::rng::RngFactory::new(1).stream("appctx");
+        let mut rng = mcps_runtime::rng::RngFactory::new(1).stream("appctx");
         let mut ctx = AppCtx::new(SimTime::ZERO, &manager, &mut rng).with_notes_enabled(false);
         let mut built = 0u32;
         ctx.note("dropped");

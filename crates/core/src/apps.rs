@@ -5,8 +5,8 @@ use mcps_device::profile::{
     CommandKind, DeviceClass, DeviceRequirementSet, LatencyClass, Requirement,
 };
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::rng::log_normal;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::rng::log_normal;
+use mcps_runtime::time::{SimDuration, SimTime};
 
 use crate::app::{AppCtx, ClinicalApp};
 use crate::msg::IceCommand;
@@ -365,7 +365,7 @@ impl ClinicalApp for XRayCoordinatorApp {
 mod tests {
     use super::*;
     use crate::manager::DeviceManager;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
     /// Drives an app through one callback with a fully-associated
     /// manager, returning the commands it issued.

@@ -9,9 +9,9 @@
 
 use mcps_patient::patient::{PatientOutcome, VirtualPatient};
 use mcps_patient::vitals::VitalsFrame;
-use mcps_sim::actor::Actor;
-use mcps_sim::kernel::Context;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::actor::Actor;
+use mcps_runtime::kernel::Context;
+use mcps_runtime::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -93,7 +93,7 @@ pub struct TimelinePoint {
 #[derive(Debug)]
 pub struct PatientActor {
     body: PatientBody,
-    pump: Option<mcps_sim::actor::ActorId>,
+    pump: Option<mcps_runtime::actor::ActorId>,
     step: SimDuration,
     /// Proxy presses per hour (PCA-by-proxy hazard); occur regardless
     /// of the patient's consciousness.
@@ -115,7 +115,7 @@ impl PatientActor {
     /// Creates the actor; `pump` is the pump actor to press, if any.
     pub fn new(
         body: PatientBody,
-        pump: Option<mcps_sim::actor::ActorId>,
+        pump: Option<mcps_runtime::actor::ActorId>,
         proxy_rate_per_hour: f64,
     ) -> Self {
         PatientActor {
@@ -205,7 +205,7 @@ impl Actor<IceMsg> for PatientActor {
             }
             if self.proxy_rate_per_hour > 0.0 {
                 let p = self.proxy_rate_per_hour * dt / 3600.0;
-                if mcps_sim::rng::bernoulli(ctx.rng(), p) {
+                if mcps_runtime::rng::bernoulli(ctx.rng(), p) {
                     self.proxy_presses += 1;
                     ctx.trace("button", "PROXY press");
                     ctx.send(pump, IceMsg::PressButton);
@@ -220,7 +220,7 @@ impl Actor<IceMsg> for PatientActor {
 mod tests {
     use super::*;
     use mcps_patient::patient::PatientParams;
-    use mcps_sim::kernel::Simulation;
+    use mcps_runtime::kernel::Simulation;
 
     #[test]
     fn body_shares_state() {

@@ -26,7 +26,7 @@
 //! ```
 //! use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 //! use mcps_patient::cohort::{CohortConfig, CohortGenerator};
-//! use mcps_sim::time::SimDuration;
+//! use mcps_runtime::time::SimDuration;
 //!
 //! let cohort = CohortGenerator::new(1, CohortConfig::default());
 //! let mut config = PcaScenarioConfig::baseline(1, cohort.params(0));

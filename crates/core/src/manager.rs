@@ -143,7 +143,7 @@ mod tests {
     use mcps_device::pump::PcaPump;
     use mcps_net::fabric::Fabric;
     use mcps_patient::vitals::VitalKind;
-    use mcps_sim::time::SimDuration;
+    use mcps_runtime::time::SimDuration;
 
     fn slots() -> Vec<DeviceRequirementSet> {
         vec![

@@ -9,7 +9,7 @@
 use mcps_device::profile::DeviceProfile;
 use mcps_net::fabric::{EndpointId, Topic};
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Commands the supervisor can address to devices.

@@ -7,8 +7,8 @@
 //! through this actor.
 
 use mcps_net::fabric::{EndpointId, Fabric, PlannedDelivery, Topic};
-use mcps_sim::actor::{Actor, ActorId};
-use mcps_sim::kernel::Context;
+use mcps_runtime::actor::{Actor, ActorId};
+use mcps_runtime::kernel::Context;
 
 use crate::msg::{IceMsg, NetAddress, NetOp};
 
@@ -74,7 +74,7 @@ impl NetworkController {
     /// link statistics into `bus` under `prefix` — scenarios harvest
     /// this so network QoS figures flow through the same telemetry
     /// sink as every other metric.
-    pub fn export_telemetry(&self, bus: &mut mcps_sim::metrics::Telemetry, prefix: &str) {
+    pub fn export_telemetry(&self, bus: &mut mcps_runtime::telemetry::Telemetry, prefix: &str) {
         bus.incr(&format!("{prefix}.sent"), self.sent);
         bus.incr(&format!("{prefix}.delivered"), self.delivered);
         self.fabric.total_stats().export_into(bus, &format!("{prefix}.link"));
@@ -178,8 +178,8 @@ mod tests {
     use crate::msg::NetPayload;
     use mcps_net::qos::LinkQos;
     use mcps_patient::vitals::VitalKind;
-    use mcps_sim::kernel::Simulation;
-    use mcps_sim::time::{SimDuration, SimTime};
+    use mcps_runtime::kernel::Simulation;
+    use mcps_runtime::time::{SimDuration, SimTime};
 
     /// Collects everything delivered to it.
     #[derive(Debug, Default)]

@@ -22,7 +22,7 @@
 //! goes dark via a scripted crash fault) in the last quarter of the
 //! run, exercising disassociation at scale. Wards run as seed-isolated
 //! shards through the costed dispatcher
-//! ([`mcps_sim::shard::run_shards_costed_in`]): ICU wards cost several
+//! ([`mcps_runtime::shard::run_shards_costed_in`]): ICU wards cost several
 //! times a general ward, which is exactly the imbalance sorted-by-cost
 //! dispatch exists to absorb.
 
@@ -38,9 +38,9 @@ use mcps_patient::cohort::{CohortConfig, CohortGenerator};
 use mcps_patient::patient::VirtualPatient;
 use mcps_patient::sensors::SensorSpec;
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::kernel::Simulation;
-use mcps_sim::shard::{run_shards_costed_in, ShardStats};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::kernel::Simulation;
+use mcps_runtime::shard::{run_shards_costed_in, ShardStats};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::actors::{MonitorActor, PumpActor, VentilatorActor, XRayActor};
@@ -236,7 +236,7 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
     fabric.set_default_qos(config.qos);
 
     struct BedRefs {
-        sup_id: mcps_sim::actor::ActorId,
+        sup_id: mcps_runtime::actor::ActorId,
         discharged: bool,
     }
     let mut bed_refs: Vec<BedRefs> = Vec::with_capacity(beds as usize);

@@ -17,8 +17,8 @@ use mcps_net::qos::LinkQos;
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
 use mcps_patient::patient::{PatientOutcome, VirtualPatient};
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::kernel::Simulation;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::kernel::Simulation;
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::actors::{MonitorActor, PumpActor};
@@ -91,9 +91,9 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
 
     struct Bed {
         body: PatientBody,
-        pump_id: mcps_sim::actor::ActorId,
-        patient_id: mcps_sim::actor::ActorId,
-        sup_id: mcps_sim::actor::ActorId,
+        pump_id: mcps_runtime::actor::ActorId,
+        patient_id: mcps_runtime::actor::ActorId,
+        sup_id: mcps_runtime::actor::ActorId,
     }
 
     // Endpoints first (fabric wiring), then actors.
@@ -252,7 +252,7 @@ pub fn multibed_shard_configs(config: &MultiBedConfig, shards: u32) -> Vec<(u32,
 /// see the `sharded_ward_matches_serial_shards` test.
 pub fn run_multibed_sharded(config: &MultiBedConfig, shards: u32) -> Vec<BedOutcome> {
     let parts = multibed_shard_configs(config, shards);
-    mcps_sim::shard::run_shards(parts, |(offset, cfg)| {
+    mcps_runtime::shard::run_shards(parts, |(offset, cfg)| {
         let mut beds = run_multibed_scenario(&cfg);
         for b in &mut beds {
             b.bed += offset;

@@ -16,9 +16,9 @@ use mcps_net::fabric::{EndpointId, Fabric};
 use mcps_net::qos::{LinkQos, OutagePlan};
 use mcps_patient::patient::{PatientOutcome, PatientParams, VirtualPatient};
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::kernel::Simulation;
-use mcps_sim::metrics::Telemetry;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::kernel::Simulation;
+use mcps_runtime::telemetry::Telemetry;
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

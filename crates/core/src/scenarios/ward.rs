@@ -14,8 +14,8 @@ use mcps_device::monitor::{capnograph, pulse_oximeter};
 use mcps_device::nibp::{NibpConfig, NibpMonitor};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::rng::RngFactory;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::rng::RngFactory;
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -106,7 +106,7 @@ pub fn run_ward_scenario(config: &WardConfig) -> WardOutcome {
             let now = SimTime::from_secs(s);
             // Therapy: pain-driven demands, served directly (the ward
             // scenario studies alarms, not interlocks).
-            if patient.perceived_pain() > 3.0 && mcps_sim::rng::bernoulli(&mut rng, bolus_p) {
+            if patient.perceived_pain() > 3.0 && mcps_runtime::rng::bernoulli(&mut rng, bolus_p) {
                 patient.give_bolus(config.bolus_mg);
             }
             patient.advance(1.0, &mut rng);

@@ -9,8 +9,8 @@
 
 use mcps_net::fabric::Fabric;
 use mcps_net::qos::LinkQos;
-use mcps_sim::kernel::Simulation;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::kernel::Simulation;
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::actors::{VentilatorActor, XRayActor};

@@ -52,9 +52,9 @@ pub use sans_io::{
 use mcps_device::faults::FaultPlan;
 use mcps_net::fabric::EndpointId;
 use mcps_net::monitor::DeadlineTracker;
-use mcps_sim::actor::{Actor, ActorId};
-use mcps_sim::kernel::Context;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::actor::{Actor, ActorId};
+use mcps_runtime::kernel::Context;
+use mcps_runtime::time::{SimDuration, SimTime};
 
 use crate::app::ClinicalApp;
 use crate::manager::DeviceManager;
@@ -275,8 +275,8 @@ mod tests {
     use mcps_net::fabric::Fabric;
     use mcps_net::qos::LinkQos;
     use mcps_patient::vitals::VitalKind;
-    use mcps_sim::kernel::Simulation;
-    use mcps_sim::time::SimTime;
+    use mcps_runtime::kernel::Simulation;
+    use mcps_runtime::time::SimTime;
     use sans_io::MAX_RETRIES;
 
     /// A minimal app that records its callbacks.

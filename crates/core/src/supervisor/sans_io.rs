@@ -24,9 +24,9 @@ use mcps_device::faults::{FaultKind, FaultPlan};
 use mcps_device::profile::CommandKind;
 use mcps_net::fabric::{EndpointId, Topic};
 use mcps_net::monitor::DeadlineTracker;
+use mcps_runtime::rng::SimRng;
+use mcps_runtime::time::{SimDuration, SimTime};
 use mcps_safety::timing;
-use mcps_sim::rng::SimRng;
-use mcps_sim::time::{SimDuration, SimTime};
 
 use crate::app::{AppCtx, ClinicalApp};
 use crate::manager::{AssociationOutcome, DeviceManager};
@@ -615,7 +615,7 @@ impl SupervisorCore {
     /// Exports the core's counters into `bus` under `prefix` — the
     /// live host publishes these the same way scenarios harvest the
     /// sim supervisor.
-    pub fn export_telemetry(&self, bus: &mut mcps_sim::metrics::Telemetry, prefix: &str) {
+    pub fn export_telemetry(&self, bus: &mut mcps_runtime::telemetry::Telemetry, prefix: &str) {
         bus.incr(&format!("{prefix}.data_received"), self.data_received);
         bus.incr(&format!("{prefix}.data_ignored"), self.data_ignored);
         bus.incr(&format!("{prefix}.commands_sent"), self.commands_sent);
@@ -1149,7 +1149,7 @@ mod tests {
     use mcps_device::profile::{DeviceClass, DeviceRequirementSet, Requirement};
     use mcps_net::fabric::Fabric;
     use mcps_patient::vitals::VitalKind;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
     /// A data-free app requiring one pump slot.
     #[derive(Debug)]

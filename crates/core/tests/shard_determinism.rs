@@ -9,8 +9,8 @@ use mcps_core::scenarios::multibed::{
 };
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig, PcaScenarioOutcome};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
-use mcps_sim::shard::run_shards;
-use mcps_sim::time::SimDuration;
+use mcps_runtime::shard::run_shards;
+use mcps_runtime::time::SimDuration;
 
 #[test]
 fn e1_cohort_parallel_is_byte_identical_to_serial() {

@@ -218,7 +218,7 @@ impl std::error::Error for UnknownDrug {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_sim::time::SimDuration;
+    use mcps_runtime::time::SimDuration;
 
     fn sane_morphine() -> PcaPumpConfig {
         PcaPumpConfig {

@@ -11,7 +11,7 @@
 //! Ties between equally severe active faults go to the earliest onset,
 //! then to script order.
 
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// How a faulty device misbehaves.

@@ -9,7 +9,7 @@
 use crate::profile::{DeviceClass, DeviceProfile, LatencyClass};
 use mcps_patient::sensors::{SensorSpec, SignalQuality, SimulatedSensor};
 use mcps_patient::vitals::{VitalKind, VitalsFrame};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -182,7 +182,7 @@ pub fn capnograph(serial: &str) -> VitalsMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
     fn healthy_frame() -> VitalsFrame {
         VitalsFrame {
@@ -196,7 +196,7 @@ mod tests {
         }
     }
 
-    fn rng() -> mcps_sim::rng::SimRng {
+    fn rng() -> mcps_runtime::rng::SimRng {
         RngFactory::new(21).stream("monitor-test")
     }
 
@@ -227,7 +227,7 @@ mod tests {
         let mut r1 = rng();
         let mut r2 = RngFactory::new(22).stream("monitor-raw");
         let f = healthy_frame();
-        let spread = |m: &mut VitalsMonitor, r: &mut mcps_sim::rng::SimRng| {
+        let spread = |m: &mut VitalsMonitor, r: &mut mcps_runtime::rng::SimRng| {
             let vals: Vec<f64> = (0..500)
                 .filter_map(|i| m.sample(SimTime::from_secs(i + 1), &f, r).first().map(|x| x.value))
                 .collect();

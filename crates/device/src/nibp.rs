@@ -11,7 +11,7 @@
 use crate::profile::{DeviceClass, DeviceProfile, LatencyClass};
 use mcps_patient::sensors::{SensorSpec, SimulatedSensor};
 use mcps_patient::vitals::{VitalKind, VitalsFrame};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -161,7 +161,7 @@ impl NibpMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
     fn truth() -> VitalsFrame {
         VitalsFrame {

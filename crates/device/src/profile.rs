@@ -8,7 +8,7 @@
 //! types are the vocabulary of that negotiation.
 
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::time::SimDuration;
+use mcps_runtime::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

@@ -15,7 +15,7 @@
 //! `mcps-safety`.
 
 use crate::profile::{CommandKind, DeviceClass, DeviceProfile};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;

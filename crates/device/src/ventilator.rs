@@ -7,7 +7,7 @@
 //! rest of the system does — the device's own last line of defence.
 
 use crate::profile::{CommandKind, DeviceClass, DeviceProfile};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Phase of the breath cycle.

@@ -6,7 +6,7 @@
 //! image quality against the ventilator's motion timeline.
 
 use crate::profile::{CommandKind, DeviceClass, DeviceProfile};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// One recorded exposure.

@@ -52,8 +52,8 @@
 
 use crate::qos::{Delivery, LinkQos, OutagePlan};
 use fxhash::FxHashMap;
-use mcps_sim::stats::Welford;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::telemetry::Welford;
+use mcps_runtime::time::{SimDuration, SimTime};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -196,8 +196,8 @@ impl LinkStats {
     /// experiment binaries aggregate network statistics through the
     /// same sink as every other metric.
     ///
-    /// [`Telemetry`]: mcps_sim::metrics::Telemetry
-    pub fn export_into(&self, bus: &mut mcps_sim::metrics::Telemetry, prefix: &str) {
+    /// [`Telemetry`]: mcps_runtime::telemetry::Telemetry
+    pub fn export_into(&self, bus: &mut mcps_runtime::telemetry::Telemetry, prefix: &str) {
         // One reusable key buffer instead of a fresh `format!` String
         // per metric — this runs per link per export tick.
         let mut key = String::with_capacity(prefix.len() + 16);
@@ -251,7 +251,7 @@ struct LinkConfig {
 /// seconds value pushed into the latency accumulator — bit-identical to
 /// what [`LinkQos::sample`] would produce, because both are pure
 /// functions of the constant base latency). The per-message RNG draw
-/// that [`bernoulli`](mcps_sim::rng::bernoulli) would consume is still
+/// that [`bernoulli`](mcps_runtime::rng::bernoulli) would consume is still
 /// made — as one raw `next_u64` — so the stream stays in lockstep with
 /// the reference engine; only the redundant float arithmetic is
 /// skipped. Lossy or jittery links sample in full.
@@ -744,10 +744,10 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_sim::rng::RngFactory;
-    use mcps_sim::time::SimDuration;
+    use mcps_runtime::rng::RngFactory;
+    use mcps_runtime::time::SimDuration;
 
-    fn rng() -> mcps_sim::rng::SimRng {
+    fn rng() -> mcps_runtime::rng::SimRng {
         RngFactory::new(8).stream("fabric")
     }
 

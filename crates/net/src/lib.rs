@@ -32,8 +32,8 @@
 //! ```
 //! use mcps_net::fabric::{Fabric, Topic};
 //! use mcps_net::qos::LinkQos;
-//! use mcps_sim::rng::RngFactory;
-//! use mcps_sim::time::SimTime;
+//! use mcps_runtime::rng::RngFactory;
+//! use mcps_runtime::time::SimTime;
 //!
 //! let mut fabric = Fabric::new();
 //! fabric.set_default_qos(LinkQos::wifi());

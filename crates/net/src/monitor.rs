@@ -7,8 +7,8 @@
 //! [`DeadlineTracker`] scores request/response latency against a
 //! deadline.
 
-use mcps_sim::stats::Welford;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::telemetry::Welford;
+use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

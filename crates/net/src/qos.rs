@@ -6,8 +6,8 @@
 //! parametric model of one directed link: base latency, jitter, loss
 //! and scheduled outages.
 
-use mcps_sim::rng::{bernoulli, normal};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::rng::{bernoulli, normal};
+use mcps_runtime::time::{SimDuration, SimTime};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -142,9 +142,9 @@ impl OutagePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
-    fn rng() -> mcps_sim::rng::SimRng {
+    fn rng() -> mcps_runtime::rng::SimRng {
         RngFactory::new(5).stream("qos")
     }
 

@@ -15,7 +15,7 @@
 
 use crate::fabric::{EndpointId, LinkStats, PlannedDelivery, Topic};
 use crate::qos::{Delivery, LinkQos, OutagePlan};
-use mcps_sim::time::SimTime;
+use mcps_runtime::time::SimTime;
 use rand::RngCore;
 use std::collections::{BTreeMap, BTreeSet};
 

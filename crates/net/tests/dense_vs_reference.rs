@@ -19,8 +19,8 @@
 use mcps_net::fabric::{EndpointId, Fabric, PlannedDelivery, Topic};
 use mcps_net::qos::{LinkQos, OutagePlan};
 use mcps_net::reference::ReferenceFabric;
-use mcps_sim::rng::RngFactory;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::rng::RngFactory;
+use mcps_runtime::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::RngCore;
 

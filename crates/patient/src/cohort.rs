@@ -9,7 +9,7 @@
 use crate::patient::{PatientParams, RiskGroup, VirtualPatient};
 use crate::physiology::PhysioParams;
 use crate::pk::PkParams;
-use mcps_sim::rng::{log_normal, normal, triangular, RngFactory};
+use mcps_runtime::rng::{log_normal, normal, triangular, RngFactory};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -84,7 +84,7 @@ impl CohortGenerator {
 
         let weight = normal(&mut rng, 75.0, 14.0).clamp(45.0, 140.0);
         let mut pk = PkParams::for_weight_kg(weight);
-        let jig = |rng: &mut mcps_sim::rng::SimRng, sigma: f64| log_normal(rng, 0.0, sigma);
+        let jig = |rng: &mut mcps_runtime::rng::SimRng, sigma: f64| log_normal(rng, 0.0, sigma);
         pk.k10 *= jig(&mut rng, cfg.variability_sigma);
         pk.k12 *= jig(&mut rng, cfg.variability_sigma);
         pk.k21 *= jig(&mut rng, cfg.variability_sigma);

@@ -92,7 +92,7 @@ impl fmt::Display for OpioidPreset {
 mod tests {
     use super::*;
     use crate::patient::VirtualPatient;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
     /// Time (seconds) for the effect-site concentration to reach 80 %
     /// of its 10-minute value after an equianalgesic bolus.

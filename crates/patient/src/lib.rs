@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use mcps_patient::cohort::{CohortConfig, CohortGenerator};
-//! use mcps_sim::rng::RngFactory;
+//! use mcps_runtime::rng::RngFactory;
 //!
 //! let cohort = CohortGenerator::new(42, CohortConfig::default());
 //! let mut patient = cohort.patient(0);

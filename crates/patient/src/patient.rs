@@ -10,7 +10,7 @@
 use crate::physiology::{PhysioModel, PhysioParams};
 use crate::pk::{PkModel, PkParams};
 use crate::vitals::VitalsFrame;
-use mcps_sim::rng::{bernoulli, normal};
+use mcps_runtime::rng::{bernoulli, normal};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -230,7 +230,7 @@ impl Default for OutcomeTracker {
 ///
 /// ```
 /// use mcps_patient::patient::{PatientParams, VirtualPatient};
-/// use mcps_sim::rng::RngFactory;
+/// use mcps_runtime::rng::RngFactory;
 ///
 /// let mut rng = RngFactory::new(1).stream("patient");
 /// let mut p = VirtualPatient::new(PatientParams::default());
@@ -354,9 +354,9 @@ impl VirtualPatient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
-    fn rng() -> mcps_sim::rng::SimRng {
+    fn rng() -> mcps_runtime::rng::SimRng {
         RngFactory::new(11).stream("patient-test")
     }
 

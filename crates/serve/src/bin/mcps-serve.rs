@@ -28,10 +28,10 @@
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps_core::{PcaSafetyApp, SupervisorCore};
 use mcps_net::fabric::EndpointId;
+use mcps_runtime::time::SimDuration;
 use mcps_serve::host::{ServeConfig, ServeHost};
 use mcps_serve::journal::Journal;
 use mcps_serve::transport::{FramedTransport, Transport};
-use mcps_sim::time::SimDuration;
 
 struct Options {
     speed: f64,

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mcps_core::msg::NetOp;
-use mcps_sim::rng::{bernoulli, RngFactory, SimRng};
+use mcps_runtime::rng::{bernoulli, RngFactory, SimRng};
 use rand::Rng;
 
 use crate::transport::{Transport, TransportError};

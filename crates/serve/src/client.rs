@@ -22,9 +22,9 @@ use mcps_device::pump::{PcaPump, PcaPumpConfig};
 use mcps_net::fabric::EndpointId;
 use mcps_patient::patient::{PatientParams, VirtualPatient};
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::prelude::{Actor, ActorId, Context, Simulation};
-use mcps_sim::rng::{RngFactory, SimRng};
-use mcps_sim::time::SimTime;
+use mcps_runtime::prelude::{Actor, ActorId, Context, Simulation};
+use mcps_runtime::rng::{RngFactory, SimRng};
+use mcps_runtime::time::SimTime;
 use rand::Rng;
 use std::time::{Duration, Instant};
 

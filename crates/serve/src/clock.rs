@@ -7,7 +7,7 @@
 //! (association, heartbeats, watchdog windows) into fractions of a
 //! wall second while production runs at `speed = 1.0`.
 
-use mcps_sim::time::SimTime;
+use mcps_runtime::time::SimTime;
 use std::time::Instant;
 
 /// Maps monotonic wall time onto the supervisor's simulation timeline.
@@ -63,7 +63,7 @@ mod tests {
         let b = c.sim_now();
         assert!(b > a, "clock must advance: {a:?} -> {b:?}");
         // 5 ms wall at 1000x is ~5 sim-seconds; allow generous slack.
-        assert!(b.saturating_since(a) >= mcps_sim::time::SimDuration::from_millis(500));
+        assert!(b.saturating_since(a) >= mcps_runtime::time::SimDuration::from_millis(500));
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::transport::{Transport, TransportError};
 use mcps_core::msg::{NetAddress, NetOp, NetPayload};
 use mcps_core::{CoreInput, CoreOutputs, SupervisorCore};
 use mcps_net::fabric::EndpointId;
-use mcps_sim::prelude::{RngFactory, SimRng, SimTime};
+use mcps_runtime::prelude::{RngFactory, SimRng, SimTime};
 use std::collections::VecDeque;
 
 /// Tunables for a [`ServeHost`].
@@ -437,7 +437,7 @@ impl<T: Transport> ServeHost<T> {
 mod tests {
     use super::*;
     use crate::transport::ChannelTransport;
-    use mcps_sim::time::SimTime;
+    use mcps_runtime::time::SimTime;
 
     fn vital(i: u64) -> NetPayload {
         NetPayload::Data {
@@ -455,7 +455,7 @@ mod tests {
         SupervisorCore::new(
             mcps_core::PcaSafetyApp::new(mcps_control::interlock::InterlockConfig::default()),
             EndpointId::from_index(3),
-            mcps_sim::time::SimDuration::from_secs(2),
+            mcps_runtime::time::SimDuration::from_secs(2),
         )
     }
 

@@ -66,7 +66,7 @@ use mcps_core::msg::{NetAddress, NetOp, NetPayload};
 use mcps_core::IceCommand;
 use mcps_net::fabric::EndpointId;
 use mcps_patient::vitals::VitalKind;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 
 /// Frame start marker.
 pub const MAGIC: [u8; 4] = *b"MCP1";
@@ -486,7 +486,7 @@ mod tests {
     use super::*;
     use mcps_core::msg::NetPayload;
     use mcps_net::fabric::EndpointId;
-    use mcps_sim::time::SimTime;
+    use mcps_runtime::time::SimTime;
 
     fn sample(i: u64) -> NetOp {
         NetOp::Deliver {

@@ -7,12 +7,12 @@
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps_core::{PcaSafetyApp, SupervisorCore};
 use mcps_patient::vitals::VitalKind;
+use mcps_runtime::time::SimDuration;
 use mcps_serve::chaos::{ChaosConfig, ChaosTransport};
 use mcps_serve::client::{PcaBedClient, ReconnectPolicy, SUP_EP};
 use mcps_serve::host::{ServeConfig, ServeHost};
 use mcps_serve::journal::Journal;
 use mcps_serve::transport::{ChannelTransport, Transport};
-use mcps_sim::time::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};

@@ -13,9 +13,9 @@
 #![cfg(unix)]
 
 use mcps_patient::vitals::VitalKind;
+use mcps_runtime::time::SimDuration;
 use mcps_serve::client::PcaBedClient;
 use mcps_serve::transport::FramedTransport;
-use mcps_sim::time::SimDuration;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 

@@ -7,10 +7,10 @@
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps_core::{PcaSafetyApp, SupervisorCore};
 use mcps_patient::vitals::VitalKind;
+use mcps_runtime::time::SimDuration;
 use mcps_serve::client::{PcaBedClient, SUP_EP};
 use mcps_serve::host::{ServeConfig, ServeHost};
 use mcps_serve::transport::ChannelTransport;
-use mcps_sim::time::SimDuration;
 use std::time::{Duration, Instant};
 
 const SPEED: f64 = 200.0;

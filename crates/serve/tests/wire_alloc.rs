@@ -8,8 +8,8 @@ use mcps_core::msg::{NetAddress, NetOp, NetPayload};
 use mcps_core::IceCommand;
 use mcps_net::fabric::EndpointId;
 use mcps_patient::vitals::VitalKind;
+use mcps_runtime::time::{SimDuration, SimTime};
 use mcps_serve::wire::{encode_frame, encode_frame_into, FrameDecoder};
-use mcps_sim::time::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -9,8 +9,8 @@ use mcps_core::msg::{NetAddress, NetOp, NetPayload};
 use mcps_core::IceCommand;
 use mcps_net::fabric::EndpointId;
 use mcps_patient::vitals::VitalKind;
+use mcps_runtime::time::{SimDuration, SimTime};
 use mcps_serve::wire::{crc32, encode_frame, FrameDecoder, HEADER_LEN, MAGIC};
-use mcps_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Builds a message deterministically from generated scalars so the

@@ -9,7 +9,7 @@
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::device::faults::{FaultKind, FaultPlan};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
-use mcps::sim::time::{SimDuration, SimTime};
+use mcps::runtime::time::{SimDuration, SimTime};
 
 fn main() {
     let cohort = CohortGenerator::new(5, CohortConfig::default());

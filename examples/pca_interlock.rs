@@ -12,7 +12,7 @@
 use mcps::control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
-use mcps::sim::time::SimDuration;
+use mcps::runtime::time::SimDuration;
 
 fn main() {
     // An enriched cohort: this patient is opioid-sensitive.

@@ -7,7 +7,7 @@
 
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
-use mcps::sim::time::SimDuration;
+use mcps::runtime::time::SimDuration;
 
 fn main() {
     // 1. A reproducible virtual patient (same seed ⇒ same patient).

@@ -7,7 +7,7 @@
 //! ```
 
 use mcps::core::scenarios::ward::{run_ward_scenario, WardConfig};
-use mcps::sim::time::SimDuration;
+use mcps::runtime::time::SimDuration;
 
 fn main() {
     let cfg = WardConfig {

@@ -10,7 +10,7 @@
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::device::faults::{FaultKind, FaultPlan};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
-use mcps::sim::time::{SimDuration, SimTime};
+use mcps::runtime::time::{SimDuration, SimTime};
 
 fn hms(secs: f64) -> String {
     format!("{:.0}:{:04.1}", (secs / 60.0).floor(), secs % 60.0)

@@ -3,7 +3,7 @@
 //!
 //! See the individual crates for the real APIs:
 //! - [`mcps_core`] — ICE supervisor, clinical apps, scenarios
-//! - [`mcps_sim`] — discrete-event simulation kernel
+//! - [`mcps_runtime`] — discrete-event simulation kernel, telemetry, shard runner
 //! - [`mcps_patient`] — virtual patient physiology
 //! - [`mcps_device`] — simulated medical devices
 //! - [`mcps_net`] — simulated network fabric
@@ -17,5 +17,5 @@ pub use mcps_core as core;
 pub use mcps_device as device;
 pub use mcps_net as net;
 pub use mcps_patient as patient;
+pub use mcps_runtime as runtime;
 pub use mcps_safety as safety;
-pub use mcps_sim as sim;

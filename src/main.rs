@@ -15,11 +15,11 @@ use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::core::scenarios::ward::{run_ward_scenario, WardConfig};
 use mcps::core::scenarios::xray::{run_xray_scenario, XRayScenarioConfig};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
+use mcps::runtime::time::SimDuration;
 use mcps::safety::checker::CheckOutcome;
 use mcps::safety::hazard::pca_hazard_log;
 use mcps::safety::models::{check_pca_variant, PcaModelVariant};
 use mcps::safety::requirements::pca_requirements;
-use mcps::sim::time::SimDuration;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

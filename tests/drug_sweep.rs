@@ -4,7 +4,7 @@
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
 use mcps::patient::drugs::OpioidPreset;
-use mcps::sim::time::SimDuration;
+use mcps::runtime::time::SimDuration;
 
 /// Runs one (preset, closed) arm over a small sensitive cohort and
 /// returns total seconds below severe hypoxaemia.

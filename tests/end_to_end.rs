@@ -5,7 +5,7 @@ use mcps::control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy}
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::device::faults::{FaultKind, FaultPlan};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
-use mcps::sim::time::{SimDuration, SimTime};
+use mcps::runtime::time::{SimDuration, SimTime};
 
 fn patient(seed: u64, idx: u64) -> mcps::patient::PatientParams {
     CohortGenerator::new(seed, CohortConfig::default()).params(idx)

@@ -15,7 +15,7 @@ use mcps_core::scenarios::multibed::{run_multibed_scenario, MultiBedConfig};
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps_net::qos::LinkQos;
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_runtime::time::{SimDuration, SimTime};
 
 /// FNV-1a over the serialized output: stable, dependency-free, and any
 /// single-byte difference in the JSON changes it.

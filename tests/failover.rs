@@ -8,7 +8,7 @@ use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::device::faults::{FaultKind, FaultPlan};
 use mcps::net::qos::LinkQos;
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
-use mcps::sim::time::{SimDuration, SimTime};
+use mcps::runtime::time::{SimDuration, SimTime};
 
 /// Fully opioid-sensitive cohort so respiratory danger is reachable within a
 /// 25-minute run even though the interlock is working.

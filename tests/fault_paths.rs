@@ -5,7 +5,7 @@
 use mcps::device::faults::{FaultKind, FaultPlan};
 use mcps::net::qos::OutagePlan;
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
-use mcps::sim::time::{SimDuration, SimTime};
+use mcps::runtime::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// The fault kinds, indexable for proptest generation.

@@ -4,7 +4,7 @@
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::device::faults::{FaultKind, FaultPlan};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
-use mcps::sim::time::{SimDuration, SimTime};
+use mcps::runtime::time::{SimDuration, SimTime};
 
 fn base(seed: u64) -> PcaScenarioConfig {
     let patient = CohortGenerator::new(seed, CohortConfig::default()).params(0);

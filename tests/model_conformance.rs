@@ -5,9 +5,9 @@
 //! checkable: what was proved is what runs.
 
 use mcps::device::pump::{PcaPump, PcaPumpConfig};
+use mcps::runtime::time::{SimDuration, SimTime};
 use mcps::safety::executor::AutomatonExecutor;
 use mcps::safety::models::{pump_ticket_model, TICKET_VALIDITY};
-use mcps::sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Drives both artifacts through the same schedule of grant instants

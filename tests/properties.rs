@@ -6,8 +6,8 @@ use mcps::net::qos::LinkQos;
 use mcps::patient::patient::{PatientParams, VirtualPatient};
 use mcps::patient::physiology::severinghaus_spo2;
 use mcps::patient::pk::{PkModel, PkParams};
-use mcps::sim::rng::RngFactory;
-use mcps::sim::time::{SimDuration, SimTime};
+use mcps::runtime::rng::RngFactory;
+use mcps::runtime::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {

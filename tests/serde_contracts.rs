@@ -8,9 +8,9 @@ use mcps::device::ders::DrugLibrary;
 use mcps::device::pump::PcaPumpConfig;
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
 use mcps::patient::patient::PatientParams;
+use mcps::runtime::time::SimDuration;
 use mcps::safety::hazard::pca_hazard_log;
 use mcps::safety::requirements::pca_requirements;
-use mcps::sim::time::SimDuration;
 
 fn roundtrip<T>(value: &T) -> T
 where

@@ -5,8 +5,8 @@
 use mcps::control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::patient::cohort::{CohortConfig, CohortGenerator};
+use mcps::runtime::time::{SimDuration, SimTime};
 use mcps::safety::models::{check_pca_variant, PcaModelVariant};
-use mcps::sim::time::{SimDuration, SimTime};
 
 /// Model says: ticket interlock stops the pump despite total message
 /// loss. Runtime must agree: under a network partition the pump stops
