@@ -5,6 +5,9 @@
 #   1a. one runtime surface                     — no source or manifest may
 #      name the removed mcps-sim facade (mcps_sim / mcps-sim / mcps::sim);
 #      the kernel is imported from mcps_runtime only
+#   1b. the bed runs the pump core              — crates/serve/src may not
+#      name Simulation or actor_as: the live bed drives PumpCore directly,
+#      with no private kernel
 #   2. cargo clippy --workspace -D warnings     — lints, all targets
 #   3. cargo build --release && cargo test -q   — the tier-1 gate (ROADMAP.md)
 #
@@ -15,7 +18,9 @@
 #      reference heap engine in lockstep (pop-for-pop, seq-exact)
 #   5b. scheduler golden pins                   — the fabric_golden
 #      baseline hashes must be the pre-wheel constants (the wheel must
-#      reproduce them, never re-record them), and the pinned test passes
+#      reproduce them, never re-record them), and the pinned test passes;
+#      then the pump lockstep: the sim PumpActor adapter and a bed-style
+#      PumpCore driver agree send-for-send on seeded command programs
 #   5c. runtime scheduler smoke budget          — bench_runtime --quick
 #      fails if wheel/heap pop streams diverge, if the steady-state
 #      dispatch path allocates, or past its wall-clock ceiling
@@ -61,6 +66,12 @@ if git grep -nE 'mcps[_-]sim|mcps::sim' -- '*.rs' '*.toml'; then
     exit 1
 fi
 
+echo "== the bed runs the pump core (no kernel in mcps-serve) =="
+if git grep -nE '\bSimulation\b|actor_as' -- crates/serve/src; then
+    echo "the bed drives PumpCore directly; crates/serve/src must not run a Simulation"
+    exit 1
+fi
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -85,6 +96,7 @@ grep -q "0x4d92_0ea0_52ae_358b" tests/fabric_golden.rs \
 grep -q "0x8af6_1fb4_7ea4_288a" tests/fabric_golden.rs \
     || { echo "multibed golden hash pin was altered"; exit 1; }
 cargo test -q --release --test fabric_golden
+cargo test -q -p mcps-core --release --test pump_core
 
 echo "== runtime scheduler smoke budget =="
 cargo build --release -q -p mcps-bench --bin bench_runtime

@@ -16,8 +16,9 @@
 //!    stop on the pump; p50/p99 over all cycles are reported.
 //!
 //! The whole run executes with tracing disabled and asserts the host
-//! built **zero** trace strings (`traces_built == 0`) — the lazy-trace
-//! hot path stays allocation-free under production settings.
+//! and the bed's pump built **zero** trace strings
+//! (`traces_built == 0`) — the lazy-trace hot path stays
+//! allocation-free under production settings.
 //!
 //! Usage: `bench_serve [--out PATH] [--samples N] [--cycles N] [--noise N]
 //!                     [--quick] [--max-ms MS]`
@@ -230,7 +231,14 @@ fn bench_danger_stop(cycles: usize, noise_per_round: u64) -> (LatencyReport, u64
         critical_overflow: stats.critical_overflow,
         ingress_peak: stats.ingress_peak,
     };
-    (report, rig.host.outputs().traces_built(), rig.host.outputs().traces_suppressed())
+    // The bed's pump core runs with tracing off too: count its traces
+    // with the host's.
+    let (host, bed) = (rig.host.outputs(), rig.client.outputs());
+    (
+        report,
+        host.traces_built() + bed.traces_built(),
+        host.traces_suppressed() + bed.traces_suppressed(),
+    )
 }
 
 fn main() {

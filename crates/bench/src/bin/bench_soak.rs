@@ -328,28 +328,28 @@ fn bench_process(cycles: u64, violations: &mut Vec<String>) -> ProcessReport {
         // generation's epoch (cycle 0 ⇒ epoch 1; each restart +1).
         let want_epoch = cycle + 1;
         if !drive(&mut client, &mut noise, (97.0, 14.0), Duration::from_secs(30), |c| {
-            c.is_permitted() && c.pump_actor().max_epoch_seen() >= want_epoch
+            c.is_permitted() && c.pump().max_epoch_seen() >= want_epoch
         }) {
             violations.push(format!(
                 "cycle {cycle}: never reached steady state at epoch {want_epoch} \
                  (epoch seen {}, reconnects {})",
-                client.pump_actor().max_epoch_seen(),
+                client.pump().max_epoch_seen(),
                 client.reconnects(),
             ));
             break;
         }
-        if client.pump_actor().max_epoch_seen() > want_epoch {
+        if client.pump().max_epoch_seen() > want_epoch {
             violations.push(format!(
                 "cycle {cycle}: epoch overshoot — pump saw {} expected {want_epoch} \
                  (a resurrected stale supervisor?)",
-                client.pump_actor().max_epoch_seen(),
+                client.pump().max_epoch_seen(),
             ));
         }
 
         // Kill -9, hold the outage, restart. Odd cycles outlast the
         // 15 s (0.5 wall-s) supervision deadline so the device-local
         // watchdog must latch basal-only.
-        let latches_before = client.pump_actor().local_failsafe_entries();
+        let latches_before = client.pump().local_failsafe_entries();
         let long_outage = cycle % 2 == 1;
         server.kill9();
         let killed_at = Instant::now();
@@ -385,7 +385,7 @@ fn bench_process(cycles: u64, violations: &mut Vec<String>) -> ProcessReport {
             ));
         }
         if long_outage {
-            let latched = client.pump_actor().local_failsafe_entries() > latches_before;
+            let latched = client.pump().local_failsafe_entries() > latches_before;
             report.watchdog_latches += u64::from(latched);
             if !latched {
                 violations.push(format!(
@@ -398,12 +398,12 @@ fn bench_process(cycles: u64, violations: &mut Vec<String>) -> ProcessReport {
     }
     server.kill9();
 
-    report.final_epoch = client.pump_actor().max_epoch_seen();
+    report.final_epoch = client.pump().max_epoch_seen();
     report.reconnects = client.reconnects();
     report.dial_failures = client.dial_failures();
     report.frames_corrupted = chaos.corrupted();
     report.frames_resynced = chaos.resynced_total();
-    report.double_actuations = client.pump_actor().double_actuations();
+    report.double_actuations = client.pump().double_actuations();
     report.noise_frames_sent = noise.sent;
     report.recovery_wall_p50_ms = percentile(&recovery_wall_ms, 50.0);
     report.recovery_wall_p99_ms = percentile(&recovery_wall_ms, 99.0);
@@ -494,10 +494,7 @@ fn bench_inproc(cycles: u64, violations: &mut Vec<String>) -> InprocReport {
             round += 1;
             host.poll();
             client.step();
-            if !phase_danger
-                && client.is_permitted()
-                && client.pump_actor().max_epoch_seen() >= epoch
-            {
+            if !phase_danger && client.is_permitted() && client.pump().max_epoch_seen() >= epoch {
                 phase_danger = true;
                 danger_at = Some(client.sim_now());
             }
@@ -534,11 +531,11 @@ fn bench_inproc(cycles: u64, violations: &mut Vec<String>) -> InprocReport {
         // Generation ends here: dropping the host is the crash.
     }
 
-    report.final_epoch = client.pump_actor().max_epoch_seen();
+    report.final_epoch = client.pump().max_epoch_seen();
     report.reconnects = client.reconnects();
     report.frames_corrupted = chaos.corrupted();
     report.frames_resynced = chaos.resynced_total();
-    report.double_actuations = client.pump_actor().double_actuations();
+    report.double_actuations = client.pump().double_actuations();
     if report.double_actuations > 0 {
         violations.push(format!(
             "inproc phase: {} double actuations (epoch fence breached)",

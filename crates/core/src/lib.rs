@@ -12,6 +12,8 @@
 //! * [`netctl`] — the network controller actor over `mcps-net`.
 //! * [`body`] — the patient's body as shared *physical* state, plus the
 //!   patient actor (physiology advance, button presses).
+//! * [`pump_core`] — the sans-io pump state machine ([`PumpCore`]) the
+//!   sim pump actor and the live bed client both run.
 //! * [`actors`] — network wrappers for pumps, monitors, ventilators and
 //!   x-ray machines.
 //! * [`manager`] — on-demand device association.
@@ -45,6 +47,7 @@ pub mod body;
 pub mod manager;
 pub mod msg;
 pub mod netctl;
+pub mod pump_core;
 pub mod scenarios;
 pub mod supervisor;
 pub mod vecmap;
@@ -55,5 +58,6 @@ pub use body::{PatientActor, PatientBody};
 pub use manager::{AssociationOutcome, DeviceManager};
 pub use msg::{IceCommand, IceMsg, NetAddress, NetOp, NetPayload};
 pub use netctl::NetworkController;
+pub use pump_core::{PumpCore, PumpInput};
 pub use supervisor::sans_io::{CheckpointState, CoreInput, CoreOutputs, SupervisorCore};
 pub use supervisor::{Supervisor, SupervisorRole};

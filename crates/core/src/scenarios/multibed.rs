@@ -178,7 +178,7 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
         .enumerate()
         .map(|(i, b)| {
             let sup = sim.actor_as::<Supervisor>(b.sup_id).expect("supervisor");
-            let pump = sim.actor_as::<PumpActor>(b.pump_id).expect("pump");
+            let pump = sim.actor_as::<PumpActor>(b.pump_id).expect("pump").core();
             let _ = sim.actor_as::<PatientActor>(b.patient_id);
             let end = config.duration.as_secs_f64() - 1.0;
             BedOutcome {

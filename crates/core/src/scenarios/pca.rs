@@ -22,7 +22,7 @@ use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use crate::actors::{MonitorActor, PumpActor, LOCAL_FAILSAFE_DEADLINE};
+use crate::actors::{MonitorActor, PumpActor};
 use crate::apps::PcaSafetyApp;
 use crate::body::{PatientActor, PatientBody};
 use crate::msg::IceMsg;
@@ -294,7 +294,7 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
             // Supervised pumps run the local fail-safe watchdog; the
             // open-loop arm has no supervisor to heartbeat it, so the
             // watchdog would just permanently latch.
-            actor = actor.with_supervision(LOCAL_FAILSAFE_DEADLINE);
+            actor = actor.with_supervision();
         }
         sim.add_actor("pump", actor)
     };
@@ -380,15 +380,13 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
 
     // --- harvest ----------------------------------------------------------
     let patient_actor = sim.actor_as::<PatientActor>(patient_id).expect("patient actor");
-    let pump_actor = sim.actor_as::<PumpActor>(pump_id).expect("pump actor");
+    let pump = sim.actor_as::<PumpActor>(pump_id).expect("pump actor").core();
     let danger_onset = patient_actor.danger_onset();
     let stop_latency_secs = danger_onset.and_then(|onset| {
-        if !pump_actor.was_permitted_at(onset) {
+        if !pump.was_permitted_at(onset) {
             Some(0.0)
         } else {
-            pump_actor
-                .first_stop_at_or_after(onset)
-                .map(|t| t.saturating_since(onset).as_secs_f64())
+            pump.first_stop_at_or_after(onset).map(|t| t.saturating_since(onset).as_secs_f64())
         }
     });
     #[derive(Default)]
@@ -462,9 +460,9 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
     for &ms in &sup_stats.hb_rtts_ms {
         telemetry.observe("supervisor.heartbeat_rtt_ms", ms);
     }
-    telemetry.incr("pump.local_failsafe_entries", pump_actor.local_failsafe_entries());
-    telemetry.incr("pump.fenced_commands", pump_actor.fenced_commands());
-    telemetry.incr("pump.double_actuations", pump_actor.double_actuations());
+    telemetry.incr("pump.local_failsafe_entries", pump.local_failsafe_entries());
+    telemetry.incr("pump.fenced_commands", pump.fenced_commands());
+    telemetry.incr("pump.double_actuations", pump.double_actuations());
     if config.scheduler_telemetry {
         sim.scheduler().export_telemetry(&mut telemetry, "sched");
     }
@@ -472,14 +470,10 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
     PcaScenarioOutcome {
         frac_adequate_analgesia: patient_outcome.frac_adequate_analgesia,
         patient: patient_outcome,
-        total_drug_mg: pump_actor.pump().total_delivered_mg(),
+        total_drug_mg: pump.pump().total_delivered_mg(),
         presses: patient_actor.presses(),
         proxy_presses: patient_actor.proxy_presses(),
-        bolus_decisions: pump_actor
-            .decisions()
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), *v))
-            .collect(),
+        bolus_decisions: pump.decisions().iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
         danger_onset_secs: danger_onset.map(|t| t.as_secs_f64()),
         stop_latency_secs,
         associated: sup_stats.associated,
@@ -493,18 +487,18 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
         failovers: sup_stats.failovers,
         supervisor_epoch: sup_stats.epoch,
         supervisor_stepdowns: sup_stats.stepdowns,
-        local_failsafe_entries: pump_actor.local_failsafe_entries(),
-        failsafe_transitions_secs: pump_actor
+        local_failsafe_entries: pump.local_failsafe_entries(),
+        failsafe_transitions_secs: pump
             .failsafe_log()
             .iter()
             .map(|(t, latched)| (t.as_secs_f64(), *latched))
             .collect(),
-        fenced_commands: pump_actor.fenced_commands(),
-        double_actuations: pump_actor.double_actuations(),
+        fenced_commands: pump.fenced_commands(),
+        double_actuations: pump.double_actuations(),
         grants_issued: sup_stats.grants_issued,
         net_sent: nc.sent(),
         net_delivered: nc.delivered(),
-        permit_transitions_secs: pump_actor
+        permit_transitions_secs: pump
             .permit_log()
             .iter()
             .map(|(t, p)| (t.as_secs_f64(), *p))

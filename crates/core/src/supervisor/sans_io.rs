@@ -81,7 +81,7 @@ const MISSED_CHECKPOINT_LIMIT: u64 = timing::MISSED_CHECKPOINT_LIMIT as u64;
 /// fail-safe watchdog (same deadline) has latched in the meantime; the
 /// supervisor owes it an explicit `ResumePump` once supervision is
 /// re-established and the system is not otherwise degraded. Mirrors
-/// `LOCAL_FAILSAFE_DEADLINE` in the actor layer; both come from
+/// `LOCAL_FAILSAFE_DEADLINE` in the pump core; both come from
 /// [`timing::FAILSAFE_RELEASE_GAP_SECS`].
 const FAILSAFE_RELEASE_GAP: SimDuration =
     SimDuration::from_secs(timing::FAILSAFE_RELEASE_GAP_SECS as u64);
@@ -156,7 +156,8 @@ pub enum CoreInput {
 }
 
 /// The core's output buffer: everything one `handle` call wants the
-/// driver to do, in emission order.
+/// driver to do, in emission order. Shared by [`SupervisorCore`] and
+/// [`PumpCore`](crate::pump_core::PumpCore).
 ///
 /// Drivers call [`CoreOutputs::begin`] before each `handle`, then drain
 /// `sends` onto their transport/scheduler and `traces` into their log.
@@ -165,7 +166,7 @@ pub enum CoreInput {
 #[derive(Debug, Default)]
 pub struct CoreOutputs {
     /// Outgoing network messages `(to, payload)`, in send order. The
-    /// driver stamps the supervisor's own endpoint as the source.
+    /// driver stamps the core's own endpoint as the source.
     pub sends: Vec<(NetAddress, NetPayload)>,
     /// Trace records `(category, message)`, in emission order.
     pub traces: Vec<(&'static str, String)>,
@@ -205,13 +206,13 @@ impl CoreOutputs {
         self.traces_suppressed
     }
 
-    fn send(&mut self, to: NetAddress, payload: NetPayload) {
+    pub(crate) fn send(&mut self, to: NetAddress, payload: NetPayload) {
         self.sends.push((to, payload));
     }
 
     /// Lazily records a trace: the message closure runs only when
     /// tracing is enabled.
-    fn trace_with(&mut self, category: &'static str, message: impl FnOnce() -> String) {
+    pub(crate) fn trace_with(&mut self, category: &'static str, message: impl FnOnce() -> String) {
         if self.trace_enabled {
             self.traces_built += 1;
             self.traces.push((category, message()));
@@ -1219,7 +1220,7 @@ mod tests {
             SimDuration::from_secs(timing::DEGRADED_EXIT_HYSTERESIS_SECS as u64)
         );
         assert_eq!(
-            crate::actors::LOCAL_FAILSAFE_DEADLINE,
+            crate::pump_core::LOCAL_FAILSAFE_DEADLINE,
             SimDuration::from_secs(timing::LOCAL_FAILSAFE_DEADLINE_SECS as u64)
         );
     }

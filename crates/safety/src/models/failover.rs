@@ -335,7 +335,7 @@ fn standby(b: &Build) -> Automaton {
 /// `Latched1` have `max_epoch_seen` = 1 (epoch-1 heartbeats are
 /// supervision); the first epoch-2 heartbeat moves the ratchet to
 /// `Armed2` / `Latched2`, where epoch-1 traffic is fenced: consumed
-/// without feeding the watchdog (`fenced_commands` in `PumpActor`).
+/// without feeding the watchdog (`fenced_commands` in `PumpCore`).
 /// `Dual` marks a stale-epoch *apply* after adoption — the
 /// double-actuation defect — and must be unreachable.
 fn pump(b: &Build) -> Automaton {

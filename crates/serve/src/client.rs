@@ -1,28 +1,28 @@
 //! A bedside client for serve mode: one real pump, scripted monitors.
 //!
 //! [`PcaBedClient`] is the counterpart of a [`crate::host::ServeHost`].
-//! It embeds a genuine [`PumpActor`] — the same device model the
-//! simulator runs, device-local fail-safe watchdog included — inside a
-//! tiny event loop, and speaks to the remote supervisor over a
-//! [`Transport`]. The monitors (pulse oximeter, capnograph) are
-//! *scripted*: the driving test or load generator injects vitals
-//! directly with [`PcaBedClient::send_vital`], which is exactly what a
-//! load generator or crash harness wants — full control over the
-//! physiology story while the pump's safety behaviour stays real.
+//! It runs a genuine [`PumpCore`] — the same pump state machine the
+//! simulator's pump actor hosts, epoch fence, dedup window and
+//! device-local fail-safe watchdog included — and drives it the way
+//! the host drives its supervisor core: read the clock, fire every due
+//! tick, then handle what arrived over the [`Transport`]. The monitors
+//! (pulse oximeter, capnograph) are *scripted*: the driving test or
+//! load generator injects vitals directly with
+//! [`PcaBedClient::send_vital`], which is exactly what a load generator
+//! or crash harness wants — full control over the physiology story
+//! while the pump's safety behaviour stays real. The bed has no patient
+//! model, so the drug the pump delivers goes nowhere.
 //!
 //! Endpoint numbering follows the standard PCA bed wiring: oximeter 0,
 //! capnograph 1, pump 2, supervisor 3.
 
 use crate::clock::ServeClock;
 use crate::transport::{Transport, TransportError};
-use mcps_core::actors::{PumpActor, LOCAL_FAILSAFE_DEADLINE};
 use mcps_core::msg::{NetAddress, NetOp, NetPayload};
-use mcps_core::{IceMsg, PatientBody};
+use mcps_core::{CoreOutputs, PumpCore, PumpInput};
 use mcps_device::pump::{PcaPump, PcaPumpConfig};
 use mcps_net::fabric::EndpointId;
-use mcps_patient::patient::{PatientParams, VirtualPatient};
 use mcps_patient::vitals::VitalKind;
-use mcps_runtime::prelude::{Actor, ActorId, Context, Simulation};
 use mcps_runtime::rng::{RngFactory, SimRng};
 use mcps_runtime::time::SimTime;
 use rand::Rng;
@@ -36,22 +36,6 @@ pub const CAP_EP: EndpointId = EndpointId::from_index(1);
 pub const PUMP_EP: EndpointId = EndpointId::from_index(2);
 /// The supervisor's endpoint.
 pub const SUP_EP: EndpointId = EndpointId::from_index(3);
-
-/// Collects the pump's outgoing traffic in place of a network fabric.
-#[derive(Debug, Default)]
-struct Relay {
-    outbound: Vec<NetOp>,
-}
-
-impl Actor<IceMsg> for Relay {
-    fn handle(&mut self, msg: IceMsg, _ctx: &mut Context<'_, IceMsg>) {
-        if let IceMsg::Net(NetOp::Send { from, payload, .. }) = msg {
-            // Everything a bed device emits is headed for the
-            // supervisor; the transport is the route.
-            self.outbound.push(NetOp::Deliver { from, payload });
-        }
-    }
-}
 
 /// Re-dial policy for a client with a [`dialer`](PcaBedClient::with_reconnect):
 /// bounded exponential backoff with multiplicative jitter.
@@ -78,9 +62,12 @@ impl Default for ReconnectPolicy {
 
 /// One PCA bed talking to a remote supervisor over a transport.
 pub struct PcaBedClient<T: Transport> {
-    sim: Simulation<IceMsg>,
-    relay: ActorId,
-    pump: ActorId,
+    pump: PumpCore,
+    /// The pump core's output buffer; tracing is always off on the bed.
+    out: CoreOutputs,
+    next_tick: SimTime,
+    /// Commands and button presses not yet handed to the pump.
+    pending: Vec<PumpInput>,
     transport: T,
     clock: ServeClock,
     closed: bool,
@@ -105,19 +92,14 @@ impl<T: Transport> PcaBedClient<T> {
     /// A bed with a default command-mode pump, fail-safe watchdog
     /// armed, clock running at `speed` sim-seconds per wall-second.
     pub fn new(transport: T, speed: f64) -> Self {
-        let mut sim = Simulation::new(7);
-        let relay = sim.add_actor("relay", Relay::default());
-        let body = PatientBody::new(VirtualPatient::new(PatientParams::default()));
-        let pump_actor =
-            PumpActor::new(PcaPump::new(PcaPumpConfig::default()), body, relay, PUMP_EP)
-                .with_supervision(LOCAL_FAILSAFE_DEADLINE)
-                .with_fast_reannounce();
-        let pump = sim.add_actor("pump", pump_actor);
-        sim.schedule(SimTime::ZERO, pump, IceMsg::Tick);
+        let pump = PumpCore::new(PcaPump::new(PcaPumpConfig::default()), PUMP_EP)
+            .with_supervision()
+            .with_fast_reannounce();
         PcaBedClient {
-            sim,
-            relay,
             pump,
+            out: CoreOutputs::new(),
+            next_tick: SimTime::ZERO,
+            pending: Vec::new(),
             transport,
             clock: ServeClock::new(speed),
             closed: false,
@@ -196,80 +178,80 @@ impl<T: Transport> PcaBedClient<T> {
         });
     }
 
-    /// The patient presses the bolus button.
+    /// The patient presses the bolus button (handled at the next
+    /// [`Self::step`]).
     pub fn press_button(&mut self) {
-        let at = self.clock.sim_now();
-        self.sim.schedule(at, self.pump, IceMsg::PressButton);
+        self.pending.push(PumpInput::PressButton);
     }
 
-    /// One client round: attempt any due re-dial, deliver traffic from
-    /// the supervisor to the pump, advance the bed simulation to
-    /// wall-now, forward the pump's outgoing traffic. Safe to call
-    /// after the server has died — the bed keeps running (that is the
-    /// point of the crash harness), and with a dialer armed it finds
-    /// its way back.
+    /// One client round: attempt any due re-dial, read the clock once,
+    /// collect the pump's commands from the supervisor, fire every due
+    /// pump tick, then hand the pump what arrived — forwarding
+    /// everything it sends. Safe to call after the server has died —
+    /// the bed keeps running (that is the point of the crash harness),
+    /// and with a dialer armed it finds its way back.
     pub fn step(&mut self) {
         self.try_reconnect();
-        loop {
-            if self.closed {
-                break;
-            }
+        let now = self.clock.sim_now();
+        while !self.closed {
             match self.transport.try_recv() {
-                Ok(Some(NetOp::Send { from, to, payload })) => {
-                    // Only the pump lives here; traffic for other
-                    // destinations (checkpoint topics, monitor acks)
-                    // has no consumer on this bed.
-                    let for_pump = matches!(to, NetAddress::Endpoint(ep) if ep == PUMP_EP)
-                        || matches!(to, NetAddress::Topic(_));
-                    if for_pump {
-                        let at = self.clock.sim_now();
-                        self.sim.schedule(
-                            at,
-                            self.pump,
-                            IceMsg::Net(NetOp::Deliver { from, payload }),
-                        );
-                    }
-                }
-                Ok(Some(NetOp::Deliver { .. })) => {}
+                // Only the pump lives here, and it takes commands
+                // addressed to its endpoint. Everything else (topic
+                // traffic, acks to the scripted monitors) has no
+                // consumer on this bed.
+                Ok(Some(NetOp::Send {
+                    from,
+                    to: NetAddress::Endpoint(PUMP_EP),
+                    payload: NetPayload::Command { id, epoch, command },
+                })) => self.pending.push(PumpInput::Command { from, id, epoch, command }),
+                Ok(Some(_)) => {}
                 Ok(None) => break,
-                Err(_) => {
-                    self.on_disconnect();
-                    break;
-                }
+                Err(_) => self.on_disconnect(),
             }
         }
-        self.sim.run_until(self.clock.sim_now());
-        let outbound = std::mem::take(
-            &mut self.sim.actor_as_mut::<Relay>(self.relay).expect("relay actor").outbound,
-        );
-        for op in outbound {
-            self.push(op);
+        while self.next_tick <= now {
+            let at = self.next_tick;
+            self.dispatch(at, PumpInput::Tick);
+            self.next_tick = at + PumpCore::STEP;
         }
-    }
-
-    /// Whether the pump's device-local fail-safe latch is engaged.
-    pub fn local_failsafe(&self) -> bool {
-        self.pump_actor().local_failsafe()
+        for i in 0..self.pending.len() {
+            self.dispatch(now, self.pending[i]);
+        }
+        self.pending.clear();
     }
 
     /// Whether the pump currently permits bolus delivery.
     pub fn is_permitted(&self) -> bool {
-        self.pump_actor().pump().is_permitted(self.sim.now())
+        self.pump.pump().is_permitted(self.clock.sim_now())
     }
 
-    /// First instant at or after `at` the pump applied a stop command.
+    /// First instant at or after `at` the pump's delivery permission
+    /// dropped (a stop command or the fail-safe latch).
     pub fn first_stop_at_or_after(&self, at: SimTime) -> Option<SimTime> {
-        self.pump_actor().first_stop_at_or_after(at)
+        self.pump.first_stop_at_or_after(at)
     }
 
-    /// When the fail-safe latch last changed, from the pump's log.
-    pub fn failsafe_log(&self) -> &[(SimTime, bool)] {
-        self.pump_actor().failsafe_log()
+    /// The bed's pump core, for deeper assertions.
+    pub fn pump(&self) -> &PumpCore {
+        &self.pump
     }
 
-    /// The embedded pump actor, for deeper assertions.
-    pub fn pump_actor(&self) -> &PumpActor {
-        self.sim.actor_as::<PumpActor>(self.pump).expect("pump actor")
+    /// The pump core's output buffer (its cumulative trace counters).
+    pub fn outputs(&self) -> &CoreOutputs {
+        &self.out
+    }
+
+    /// Feeds one input to the pump and forwards what it sends: every
+    /// bed device talks only to the supervisor, so the transport is
+    /// the route.
+    fn dispatch(&mut self, at: SimTime, input: PumpInput) {
+        self.out.begin(false);
+        self.pump.handle(at, input, &mut self.out);
+        let mut sends = std::mem::take(&mut self.out.sends);
+        for (_, payload) in sends.drain(..) {
+            self.push(NetOp::Deliver { from: PUMP_EP, payload });
+        }
+        self.out.sends = sends;
     }
 
     fn push(&mut self, op: NetOp) {

@@ -101,7 +101,7 @@ fn danger_stops_pump_through_a_chaotic_link() {
 
     // Safety through the noise: duplicated/replayed commands never
     // double-actuate, and corruption was really exercised.
-    assert_eq!(client.pump_actor().double_actuations(), 0);
+    assert_eq!(client.pump().double_actuations(), 0);
     let corrupted = host_chaos.corrupted() + client_chaos.corrupted();
     let resynced = host_chaos.resynced_total() + client_chaos.resynced_total();
     assert!(corrupted > 0, "chaos plan never corrupted a frame — test proves nothing");
@@ -151,7 +151,7 @@ fn journal_resume_and_reconnect_restore_the_session() {
             // epoch-stamped heartbeat seen by the pump.
             h.core().associated_at().is_some()
                 && c.is_permitted()
-                && c.pump_actor().max_epoch_seen() >= h.core().epoch()
+                && c.pump().max_epoch_seen() >= h.core().epoch()
         }),
         "generation 1 never fully associated"
     );
@@ -190,7 +190,7 @@ fn journal_resume_and_reconnect_restore_the_session() {
         run_rounds(&mut host2, &mut client, (97.0, 14.0), Duration::from_secs(30), |h, c| {
             h.core().associated_at().is_some()
                 && c.is_permitted()
-                && c.pump_actor().max_epoch_seen() >= epoch2
+                && c.pump().max_epoch_seen() >= epoch2
         }),
         "generation 2 never re-associated after reconnect (reconnects={}, dial_failures={})",
         client.reconnects(),
@@ -209,8 +209,8 @@ fn journal_resume_and_reconnect_restore_the_session() {
         }),
         "no stop after danger in generation 2"
     );
-    assert_eq!(client.pump_actor().double_actuations(), 0);
-    assert!(client.pump_actor().max_epoch_seen() >= epoch2);
+    assert_eq!(client.pump().double_actuations(), 0);
+    assert!(client.pump().max_epoch_seen() >= epoch2);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

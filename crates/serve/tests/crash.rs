@@ -77,7 +77,7 @@ fn sigkill_mid_bolus_engages_local_failsafe_within_deadline() {
     // Start a bolus, confirm it is actually running.
     client.press_button();
     let bolus_started = drive(&mut client, Some((97.0, 14.0)), Duration::from_secs(10), |c| {
-        c.pump_actor().pump().bolus_in_progress(c.sim_now())
+        c.pump().pump().bolus_in_progress(c.sim_now())
     });
     assert!(bolus_started, "bolus never started while supervised");
 
@@ -92,16 +92,17 @@ fn sigkill_mid_bolus_engages_local_failsafe_within_deadline() {
     // tick quantization at 30x.
     let deadline = SimDuration::from_secs(15 + 1);
     let latched = drive(&mut client, Some((97.0, 14.0)), Duration::from_secs(30), |c| {
-        c.local_failsafe()
+        c.pump().local_failsafe()
             || c.sim_now().saturating_since(killed_at) > deadline + SimDuration::from_secs(4)
     });
     assert!(latched, "client loop stalled before the watchdog verdict");
     assert!(
-        client.local_failsafe(),
+        client.pump().local_failsafe(),
         "local fail-safe never engaged after supervisor SIGKILL (elapsed {:?})",
         client.sim_now().saturating_since(killed_at)
     );
     let latch_at = client
+        .pump()
         .failsafe_log()
         .iter()
         .find(|&&(_, engaged)| engaged)
@@ -115,9 +116,9 @@ fn sigkill_mid_bolus_engages_local_failsafe_within_deadline() {
     // The latch is real protection: the in-flight bolus was aborted
     // and further demand boluses are suspended (basal continues — the
     // watchdog's safe state is basal-only, not a hard stop).
-    assert!(client.pump_actor().pump().bolus_suspended(), "latch did not suspend boluses");
+    assert!(client.pump().pump().bolus_suspended(), "latch did not suspend boluses");
     assert!(
-        !client.pump_actor().pump().bolus_in_progress(client.sim_now()),
+        !client.pump().pump().bolus_in_progress(client.sim_now()),
         "bolus still running after the fail-safe latch"
     );
 }

@@ -1,16 +1,17 @@
 //! End-to-end serve-mode loop: a [`ServeHost`] and a [`PcaBedClient`]
 //! talking over an in-memory transport, run cooperatively on one
-//! thread (the bed holds `Rc` patient state and is deliberately not
-//! `Send`). Proves the full live path — announce, associate, stream
+//! thread. Proves the full live path — announce, associate, stream
 //! vitals, detect danger, stop the pump — outside the simulator.
 
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
-use mcps_core::{PcaSafetyApp, SupervisorCore};
+use mcps_core::{IceCommand, NetAddress, NetOp, NetPayload, PcaSafetyApp, SupervisorCore};
+use mcps_device::pump::PumpState;
+use mcps_net::fabric::Topic;
 use mcps_patient::vitals::VitalKind;
 use mcps_runtime::time::SimDuration;
-use mcps_serve::client::{PcaBedClient, SUP_EP};
+use mcps_serve::client::{PcaBedClient, PUMP_EP, SUP_EP};
 use mcps_serve::host::{ServeConfig, ServeHost};
-use mcps_serve::transport::ChannelTransport;
+use mcps_serve::transport::{ChannelTransport, Transport};
 use std::time::{Duration, Instant};
 
 const SPEED: f64 = 200.0;
@@ -94,6 +95,51 @@ fn live_association_then_danger_stops_pump() {
     // The host never dropped a protocol message while doing all this.
     assert_eq!(host.stats().critical_overflow, 0);
     assert!(!client.server_closed());
+    // Neither side built a trace string across the danger→stop cycle:
+    // the host runs with tracing off, and so does the bed's pump.
+    assert_eq!(host.outputs().traces_built(), 0);
+    assert_eq!(client.outputs().traces_built(), 0, "the bed's pump built trace strings");
+    assert!(client.outputs().traces_suppressed() > 0, "the stop left no suppressed trace");
+}
+
+/// The bed hands its pump only commands addressed to the pump's
+/// endpoint. A topic-addressed `StopPump` has no consumer on the bed:
+/// it must be neither applied nor acked, while the same command sent
+/// to the pump's endpoint is both.
+#[test]
+fn topic_addressed_pump_command_is_ignored() {
+    let (mut sup, client_t) = ChannelTransport::pair();
+    let mut client = PcaBedClient::new(client_t, SPEED);
+    let stop = |id, to| NetOp::Send {
+        from: SUP_EP,
+        to,
+        payload: NetPayload::Command { id, epoch: 1, command: IceCommand::StopPump },
+    };
+    let mut acks = 0;
+    let mut settle = |client: &mut PcaBedClient<ChannelTransport>, sup: &mut ChannelTransport| {
+        for _ in 0..5 {
+            client.step();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        while let Some(op) = sup.try_recv().expect("bed link open") {
+            if matches!(op, NetOp::Deliver { payload: NetPayload::Ack { .. }, .. }) {
+                acks += 1;
+            }
+        }
+        acks
+    };
+    assert_eq!(settle(&mut client, &mut sup), 0);
+    assert!(client.is_permitted(), "a command-mode pump starts permitted");
+
+    sup.send(&stop(1, NetAddress::Topic(Topic::new("ice/pump")))).expect("send");
+    assert_eq!(settle(&mut client, &mut sup), 0, "a topic-addressed command was acked");
+    assert_eq!(client.pump().pump().state(), PumpState::Running, "topic command applied");
+    assert!(client.is_permitted());
+
+    sup.send(&stop(2, NetAddress::Endpoint(PUMP_EP))).expect("send");
+    assert_eq!(settle(&mut client, &mut sup), 1, "the endpoint-addressed stop is acked once");
+    assert!(matches!(client.pump().pump().state(), PumpState::Stopped(_)));
+    assert!(!client.is_permitted());
 }
 
 #[test]
