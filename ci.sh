@@ -9,6 +9,8 @@
 #      name Simulation or actor_as: the live bed drives PumpCore directly,
 #      with no private kernel
 #   2. cargo clippy --workspace -D warnings     — lints, all targets
+#   2a. cargo doc --workspace --no-deps         — rustdoc with -D warnings:
+#      no broken, private or ambiguous intra-doc links
 #   3. cargo build --release && cargo test -q   — the tier-1 gate (ROADMAP.md)
 #
 # Extras the tier-1 gate does not cover:
@@ -74,6 +76,9 @@ fi
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (no broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== tier-1: release build =="
 cargo build --release

@@ -146,7 +146,8 @@ impl AlarmScore {
         self.observed_hours += other.observed_hours;
     }
 
-    /// Writes the score into a [`Telemetry`] bus under `prefix`
+    /// Writes the score into a [`Telemetry`](mcps_runtime::telemetry::Telemetry)
+    /// bus under `prefix`
     /// (`{prefix}.true_alarms`, `{prefix}.sensitivity`, …), making the
     /// bus the single sink experiment binaries aggregate from.
     pub fn export_into(&self, bus: &mut mcps_runtime::telemetry::Telemetry, prefix: &str) {

@@ -48,13 +48,50 @@ fn announce(
     );
 }
 
+/// Replays a sans-io core's buffered outputs onto the kernel, as the
+/// [`PumpActor`] and [`Supervisor`](crate::supervisor::Supervisor)
+/// adapters both do after each `handle`: traces first, in emission
+/// order, then sends from `from` to the network controller. Acks go out
+/// under `fault`'s ack-plane faults at the current instant — held back
+/// by [`FaultPlan::ack_delay`], doubled by [`FaultPlan::ack_duplicated`];
+/// every other payload is sent at once. (Supervisors never emit acks.)
+pub(crate) fn replay(
+    ctx: &mut Context<'_, IceMsg>,
+    netctl: ActorId,
+    from: EndpointId,
+    fault: &FaultPlan,
+    out: &mut CoreOutputs,
+) {
+    for (category, message) in out.traces.drain(..) {
+        ctx.trace(category, message);
+    }
+    let now = ctx.now();
+    for (to, payload) in out.sends.drain(..) {
+        let is_ack = matches!(payload, NetPayload::Ack { .. });
+        let msg = IceMsg::Net(NetOp::Send { from, to, payload });
+        if !is_ack {
+            ctx.send(netctl, msg);
+            continue;
+        }
+        let copies = if fault.ack_duplicated(now) { 2 } else { 1 };
+        for _ in 0..copies {
+            match fault.ack_delay(now) {
+                Some(delay) => ctx.schedule_at(now + delay, netctl, msg.clone()),
+                None => ctx.send(netctl, msg.clone()),
+            }
+        }
+    }
+}
+
 /// The PCA pump on the network: a thin adapter hosting a [`PumpCore`].
 ///
-/// It maps kernel events to [`PumpInput`]s, infuses the drug each tick
-/// delivers into its [`PatientBody`], replays the core's traces and
-/// sends onto the kernel in emission order (sends before the tick
-/// re-arm), and applies the controller's ack-plane faults — delayed and
-/// duplicated acks — to the acks the core emits.
+/// Configure the core (supervision, faults), then wrap it with
+/// [`PumpActor::from_core`]; read counters and logs through
+/// [`PumpActor::core`]. On each event the adapter maps the kernel
+/// message to a [`PumpInput`], infuses the drug a tick delivers into
+/// its [`PatientBody`], and replays the core's outputs with `replay`
+/// — traces, then sends, with the controller's ack-plane faults applied
+/// to the acks — before re-arming the tick.
 #[derive(Debug)]
 pub struct PumpActor {
     core: PumpCore,
@@ -66,25 +103,17 @@ pub struct PumpActor {
 impl PumpActor {
     /// Wraps a pump attached to `body`, reachable via `endpoint`.
     pub fn new(pump: PcaPump, body: PatientBody, netctl: ActorId, endpoint: EndpointId) -> Self {
-        PumpActor { core: PumpCore::new(pump, endpoint), body, netctl, out: CoreOutputs::new() }
+        Self::from_core(PumpCore::new(pump, endpoint), body, netctl)
     }
 
-    /// See [`PumpCore::with_supervision`].
-    pub fn with_supervision(mut self) -> Self {
-        self.core = self.core.with_supervision();
-        self
+    /// Wraps an already configured core attached to `body`.
+    pub fn from_core(core: PumpCore, body: PatientBody, netctl: ActorId) -> Self {
+        PumpActor { core, body, netctl, out: CoreOutputs::new() }
     }
 
     /// See [`PumpCore::with_scope`].
     pub fn with_scope(mut self, scope: &str) -> Self {
         self.core = self.core.with_scope(scope);
-        self
-    }
-
-    /// See [`PumpCore::with_faults`]; this adapter applies the
-    /// ack-plane faults.
-    pub fn with_faults(mut self, fault: FaultPlan) -> Self {
-        self.core = self.core.with_faults(fault);
         self
     }
 
@@ -105,32 +134,13 @@ impl Actor<IceMsg> for PumpActor {
             }) => PumpInput::Command { from, id, epoch, command },
             IceMsg::Net(_) => return,
         };
-        let now = ctx.now();
         let PumpActor { core, body, netctl, out } = self;
         out.begin(ctx.trace_enabled());
-        let delivered = core.handle(now, input, out);
+        let delivered = core.handle(ctx.now(), input, out);
         if delivered > 0.0 {
             body.infuse(delivered);
         }
-        for (category, message) in out.traces.drain(..) {
-            ctx.trace(category, message);
-        }
-        let (from, fault) = (core.endpoint(), core.fault());
-        for (to, payload) in out.sends.drain(..) {
-            let is_ack = matches!(payload, NetPayload::Ack { .. });
-            let msg = IceMsg::Net(NetOp::Send { from, to, payload });
-            if !is_ack {
-                ctx.send(*netctl, msg);
-                continue;
-            }
-            let copies = if fault.ack_duplicated(now) { 2 } else { 1 };
-            for _ in 0..copies {
-                match fault.ack_delay(now) {
-                    Some(delay) => ctx.schedule_at(now + delay, *netctl, msg.clone()),
-                    None => ctx.send(*netctl, msg.clone()),
-                }
-            }
-        }
+        replay(ctx, *netctl, core.endpoint(), core.fault(), out);
         if input == PumpInput::Tick {
             ctx.schedule_self(PumpCore::STEP, IceMsg::Tick);
         }
@@ -275,11 +285,6 @@ impl VentilatorActor {
     /// The wrapped ventilator.
     pub fn ventilator(&self) -> &Ventilator {
         &self.vent
-    }
-
-    /// Mutable access (scenario scoring).
-    pub fn ventilator_mut(&mut self) -> &mut Ventilator {
-        &mut self.vent
     }
 }
 
@@ -505,12 +510,12 @@ mod tests {
                 Some(SimTime::from_secs(20)),
             )
             .with_fault(mcps_device::faults::FaultKind::DuplicateAck, SimTime::from_secs(20), None);
-        let pump = PcaPump::new(PcaPumpConfig::default());
-        let p_id = r.sim.add_actor(
-            "pump",
-            PumpActor::new(pump, r.body.clone(), r.nc_id, r.dev_ep).with_faults(fault),
-        );
+        let core =
+            PumpCore::new(PcaPump::new(PcaPumpConfig::default()), r.dev_ep).with_faults(fault);
+        let p_id = r.sim.add_actor("pump", PumpActor::from_core(core, r.body.clone(), r.nc_id));
         r.sim.actor_as_mut::<NetworkController>(r.nc_id).unwrap().bind(r.dev_ep, p_id);
+        // Ticks make the pump announce at t = 0, 10, 20, 30.
+        r.sim.schedule(SimTime::ZERO, p_id, IceMsg::Tick);
         let cmd = |id, command, t| {
             (
                 SimTime::from_secs(t),
@@ -524,12 +529,20 @@ mod tests {
         let (t2, m2) = cmd(2, IceCommand::ResumePump, 25);
         r.sim.schedule(t1, p_id, m1);
         r.sim.schedule(t2, p_id, m2);
+        // The ack-plane faults hit acks only: the t=0 announce is out at
+        // once, not held back by the 3 s ack delay.
+        r.sim.run_until(SimTime::from_secs(1));
+        assert_eq!(r.sim.actor_as::<Sink>(r.sink_id).unwrap().announces, 1, "announce on time");
         // Just after the stop, the delayed ack (due t=8) is not out yet.
         r.sim.run_until(SimTime::from_secs(6));
         assert_eq!(r.sim.actor_as::<Sink>(r.sink_id).unwrap().acks, 0, "ack held back");
         r.sim.run_until(SimTime::from_secs(30));
+        let sink = r.sim.actor_as::<Sink>(r.sink_id).unwrap();
         // 1 delayed ack for the stop + 2 duplicated acks for the resume.
-        assert_eq!(r.sim.actor_as::<Sink>(r.sink_id).unwrap().acks, 3);
+        assert_eq!(sink.acks, 3);
+        // The t=20 and t=30 announces, sent while acks are duplicated,
+        // arrive once each.
+        assert_eq!(sink.announces, 4, "announces not doubled");
     }
 
     #[test]

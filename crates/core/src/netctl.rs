@@ -55,11 +55,6 @@ impl NetworkController {
         &self.fabric
     }
 
-    /// Mutable access to the fabric.
-    pub fn fabric_mut(&mut self) -> &mut Fabric {
-        &mut self.fabric
-    }
-
     /// Messages offered to the controller.
     pub fn sent(&self) -> u64 {
         self.sent

@@ -187,9 +187,9 @@ impl PumpCore {
         self
     }
 
-    /// Announce at the fast [`ANNOUNCE_RETRY`] cadence whenever the
+    /// Announce at the fast `ANNOUNCE_RETRY` (2 s) cadence whenever the
     /// supervision watchdog has been silent past
-    /// [`ANNOUNCE_RETRY_SILENCE`] — so a supervisor restart (or one
+    /// `ANNOUNCE_RETRY_SILENCE` (5 s) — so a supervisor restart (or one
     /// corrupted announce on a lossy link) costs a retry interval of
     /// re-association time, not a full announce period. Requires
     /// [`Self::with_supervision`]; without a watchdog there is no
@@ -301,7 +301,7 @@ impl PumpCore {
     }
 
     /// Feeds one timestamped input through the state machine, appending
-    /// sends (the driver stamps [`Self::endpoint`] as their source) and
+    /// sends (the driver stamps the pump's endpoint as their source) and
     /// lazily built traces to `out`. Returns the drug, in mg, the pump
     /// delivered since the previous tick (non-zero only on ticks) — the
     /// driver owns the patient it flows into. `now` must be

@@ -92,7 +92,6 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
     struct Bed {
         body: PatientBody,
         pump_id: mcps_runtime::actor::ActorId,
-        patient_id: mcps_runtime::actor::ActorId,
         sup_id: mcps_runtime::actor::ActorId,
     }
 
@@ -169,7 +168,7 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
         {
             sim.schedule(SimTime::from_millis(off + bed as u64 * 7), id, IceMsg::Tick);
         }
-        beds.push(Bed { body, pump_id, patient_id, sup_id });
+        beds.push(Bed { body, pump_id, sup_id });
     }
 
     sim.run_until(SimTime::ZERO + config.duration);
@@ -179,7 +178,6 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
         .map(|(i, b)| {
             let sup = sim.actor_as::<Supervisor>(b.sup_id).expect("supervisor");
             let pump = sim.actor_as::<PumpActor>(b.pump_id).expect("pump").core();
-            let _ = sim.actor_as::<PatientActor>(b.patient_id);
             let end = config.duration.as_secs_f64() - 1.0;
             BedOutcome {
                 bed: i as u32,

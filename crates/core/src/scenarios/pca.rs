@@ -27,7 +27,8 @@ use crate::apps::PcaSafetyApp;
 use crate::body::{PatientActor, PatientBody};
 use crate::msg::IceMsg;
 use crate::netctl::{topics, NetworkController};
-use crate::supervisor::{Supervisor, SupervisorRole};
+use crate::pump_core::PumpCore;
+use crate::supervisor::{Supervisor, SupervisorCore, SupervisorRole};
 
 /// Complete configuration of one PCA scenario run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -288,15 +289,15 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
     let nc_id = sim.add_actor("netctl", NetworkController::new(fabric));
     let body = PatientBody::new(VirtualPatient::new(config.patient));
     let pump_id = {
-        let mut actor = PumpActor::new(PcaPump::new(config.pump), body.clone(), nc_id, ep_pump)
+        let mut core = PumpCore::new(PcaPump::new(config.pump), ep_pump)
             .with_faults(config.pump_fault.clone());
         if config.interlock.is_some() {
             // Supervised pumps run the local fail-safe watchdog; the
             // open-loop arm has no supervisor to heartbeat it, so the
             // watchdog would just permanently latch.
-            actor = actor.with_supervision();
+            core = core.with_supervision();
         }
-        sim.add_actor("pump", actor)
+        sim.add_actor("pump", PumpActor::from_core(core, body.clone(), nc_id))
     };
     let ox_id = sim.add_actor(
         "oximeter",
@@ -330,22 +331,20 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
         sim.add_actor("patient", actor)
     };
     let sup_id = config.interlock.map(|il| {
-        let mut s =
-            Supervisor::new(PcaSafetyApp::new(il), nc_id, ep_sup, SimDuration::from_secs(2))
+        let mut core =
+            SupervisorCore::new(PcaSafetyApp::new(il), ep_sup, SimDuration::from_secs(2))
                 .with_faults(config.supervisor_fault.clone());
         if ep_standby.is_some() {
-            s = s.with_redundancy("");
+            core = core.with_redundancy("");
         }
-        sim.add_actor("supervisor", s)
+        sim.add_actor("supervisor", Supervisor::from_core(core, nc_id))
     });
     let standby_id = ep_standby.map(|ep| {
         let il = config.interlock.expect("standby supervisor requires an interlock");
-        sim.add_actor(
-            "supervisor-standby",
-            Supervisor::new(PcaSafetyApp::new(il), nc_id, ep, SimDuration::from_secs(2))
-                .with_role(SupervisorRole::Standby)
-                .with_redundancy(""),
-        )
+        let core = SupervisorCore::new(PcaSafetyApp::new(il), ep, SimDuration::from_secs(2))
+            .with_role(SupervisorRole::Standby)
+            .with_redundancy("");
+        sim.add_actor("supervisor-standby", Supervisor::from_core(core, nc_id))
     });
     {
         let nc = sim.actor_as_mut::<NetworkController>(nc_id).unwrap();
@@ -389,85 +388,29 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
             pump.first_stop_at_or_after(onset).map(|t| t.saturating_since(onset).as_secs_f64())
         }
     });
-    #[derive(Default)]
-    struct SupStats {
-        associated: bool,
-        associations_completed: u32,
-        data_received: u64,
-        commands_sent: u64,
-        commands_retried: u64,
-        commands_suppressed: u64,
-        degraded_windows_secs: Vec<(f64, Option<f64>)>,
-        watchdog_escalations: u32,
-        grants_issued: u64,
-        failovers: u32,
-        epoch: u64,
-        stepdowns: u32,
-        hb_sent: u64,
-        hb_acked: u64,
-        hb_unanswered: u64,
-        hb_rtts_ms: Vec<f64>,
-    }
-    let run_end_secs = config.duration.as_secs_f64();
-    let mut sup_stats = SupStats::default();
-    // Merge both halves of a redundant pair (counters sum; the epoch is
-    // whichever supervisor got furthest). With no standby this is just
-    // the primary's figures; with no interlock it stays all-zero.
-    for id in [sup_id, standby_id].into_iter().flatten() {
-        let sup = sim.actor_as::<Supervisor>(id).expect("supervisor actor");
-        sup_stats.associated |= sup.associated_at().is_some();
-        sup_stats.associations_completed =
-            sup_stats.associations_completed.max(sup.associations_completed());
-        sup_stats.data_received += sup.data_received();
-        sup_stats.commands_sent += sup.commands_sent();
-        sup_stats.commands_retried += sup.commands_retried();
-        sup_stats.commands_suppressed += sup.commands_suppressed();
-        sup_stats.degraded_windows_secs.extend(
-            sup.degraded_log()
-                .iter()
-                // A window still open at run end is closed at the run's
-                // end instant: leaving it `None` used to make terminal
-                // degradations contribute zero dwell time to accounting.
-                .map(|&(a, b)| {
-                    (a.as_secs_f64(), Some(b.map_or(run_end_secs, SimTime::as_secs_f64)))
-                }),
-        );
-        sup_stats.watchdog_escalations += sup.watchdog_escalations();
-        sup_stats.grants_issued +=
-            sup.app_as::<PcaSafetyApp>().map(|a| a.interlock().grants_issued()).unwrap_or(0);
-        sup_stats.failovers += sup.failovers();
-        sup_stats.epoch = sup_stats.epoch.max(sup.epoch());
-        sup_stats.stepdowns += sup.stepdowns();
-        let (sent, acked, unanswered) = sup.heartbeat_counts();
-        sup_stats.hb_sent += sent;
-        sup_stats.hb_acked += acked;
-        sup_stats.hb_unanswered += unanswered;
-        sup_stats.hb_rtts_ms.extend_from_slice(sup.heartbeat_rtts_ms());
-    }
-    sup_stats.degraded_windows_secs.sort_by(|a, b| a.0.total_cmp(&b.0));
     let nc = sim.actor_as::<NetworkController>(nc_id).expect("netctl actor");
     let patient_outcome = body.outcome();
     let mut telemetry = Telemetry::new();
     telemetry.annotate("scenario", "pca");
     telemetry.annotate("seed", config.seed.to_string());
     nc.export_telemetry(&mut telemetry, "net");
-    telemetry.incr("supervisor.failovers", u64::from(sup_stats.failovers));
-    telemetry.incr("supervisor.epoch", sup_stats.epoch);
-    telemetry.incr("supervisor.stepdowns", u64::from(sup_stats.stepdowns));
-    telemetry.incr("supervisor.heartbeats_sent", sup_stats.hb_sent);
-    telemetry.incr("supervisor.heartbeats_acked", sup_stats.hb_acked);
-    telemetry.incr("supervisor.heartbeats_unanswered", sup_stats.hb_unanswered);
-    for &ms in &sup_stats.hb_rtts_ms {
-        telemetry.observe("supervisor.heartbeat_rtt_ms", ms);
-    }
     telemetry.incr("pump.local_failsafe_entries", pump.local_failsafe_entries());
     telemetry.incr("pump.fenced_commands", pump.fenced_commands());
     telemetry.incr("pump.double_actuations", pump.double_actuations());
     if config.scheduler_telemetry {
         sim.scheduler().export_telemetry(&mut telemetry, "sched");
     }
+    const HEARTBEAT_KEYS: [&str; 3] = [
+        "supervisor.heartbeats_sent",
+        "supervisor.heartbeats_acked",
+        "supervisor.heartbeats_unanswered",
+    ];
+    for key in HEARTBEAT_KEYS {
+        // Present, at zero, on the open-loop arm too.
+        telemetry.incr(key, 0);
+    }
 
-    PcaScenarioOutcome {
+    let mut out = PcaScenarioOutcome {
         frac_adequate_analgesia: patient_outcome.frac_adequate_analgesia,
         patient: patient_outcome,
         total_drug_mg: pump.pump().total_delivered_mg(),
@@ -476,17 +419,17 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
         bolus_decisions: pump.decisions().iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
         danger_onset_secs: danger_onset.map(|t| t.as_secs_f64()),
         stop_latency_secs,
-        associated: sup_stats.associated,
-        associations_completed: sup_stats.associations_completed,
-        data_received: sup_stats.data_received,
-        commands_sent: sup_stats.commands_sent,
-        commands_retried: sup_stats.commands_retried,
-        commands_suppressed: sup_stats.commands_suppressed,
-        degraded_windows_secs: sup_stats.degraded_windows_secs,
-        watchdog_escalations: sup_stats.watchdog_escalations,
-        failovers: sup_stats.failovers,
-        supervisor_epoch: sup_stats.epoch,
-        supervisor_stepdowns: sup_stats.stepdowns,
+        associated: false,
+        associations_completed: 0,
+        data_received: 0,
+        commands_sent: 0,
+        commands_retried: 0,
+        commands_suppressed: 0,
+        degraded_windows_secs: Vec::new(),
+        watchdog_escalations: 0,
+        failovers: 0,
+        supervisor_epoch: 0,
+        supervisor_stepdowns: 0,
         local_failsafe_entries: pump.local_failsafe_entries(),
         failsafe_transitions_secs: pump
             .failsafe_log()
@@ -495,7 +438,7 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
             .collect(),
         fenced_commands: pump.fenced_commands(),
         double_actuations: pump.double_actuations(),
-        grants_issued: sup_stats.grants_issued,
+        grants_issued: 0,
         net_sent: nc.sent(),
         net_delivered: nc.delivered(),
         permit_transitions_secs: pump
@@ -505,7 +448,48 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
             .collect(),
         timeline: patient_actor.timeline().to_vec(),
         telemetry,
+    };
+    // Merge both halves of a redundant pair (counters sum; the epoch is
+    // whichever supervisor got furthest). With no standby this is just
+    // the primary's figures; with no interlock it stays all-zero.
+    let run_end_secs = config.duration.as_secs_f64();
+    for id in [sup_id, standby_id].into_iter().flatten() {
+        let sup = sim.actor_as::<Supervisor>(id).expect("supervisor actor").core();
+        out.associated |= sup.associated_at().is_some();
+        out.associations_completed = out.associations_completed.max(sup.associations_completed());
+        out.data_received += sup.data_received();
+        out.commands_sent += sup.commands_sent();
+        out.commands_retried += sup.commands_retried();
+        out.commands_suppressed += sup.commands_suppressed();
+        out.degraded_windows_secs.extend(
+            sup.degraded_log()
+                .iter()
+                // A window still open at run end is closed at the run's
+                // end instant: leaving it `None` used to make terminal
+                // degradations contribute zero dwell time to accounting.
+                .map(|&(a, b)| {
+                    (a.as_secs_f64(), Some(b.map_or(run_end_secs, SimTime::as_secs_f64)))
+                }),
+        );
+        out.watchdog_escalations += sup.watchdog_escalations();
+        out.grants_issued +=
+            sup.app_as::<PcaSafetyApp>().map(|a| a.interlock().grants_issued()).unwrap_or(0);
+        out.failovers += sup.failovers();
+        out.supervisor_epoch = out.supervisor_epoch.max(sup.epoch());
+        out.supervisor_stepdowns += sup.stepdowns();
+        let (sent, acked, unanswered) = sup.heartbeat_counts();
+        for (key, n) in HEARTBEAT_KEYS.into_iter().zip([sent, acked, unanswered]) {
+            out.telemetry.incr(key, n);
+        }
+        for &ms in sup.heartbeat_rtts_ms() {
+            out.telemetry.observe("supervisor.heartbeat_rtt_ms", ms);
+        }
     }
+    out.degraded_windows_secs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    out.telemetry.incr("supervisor.failovers", u64::from(out.failovers));
+    out.telemetry.incr("supervisor.epoch", out.supervisor_epoch);
+    out.telemetry.incr("supervisor.stepdowns", u64::from(out.supervisor_stepdowns));
+    out
 }
 
 #[cfg(test)]

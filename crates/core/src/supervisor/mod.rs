@@ -8,15 +8,19 @@
 //!
 //! All decision logic lives in [`SupervisorCore`] (see [`sans_io`]), a
 //! pure state machine with no I/O and no clock of its own. The
-//! [`Supervisor`] actor in this module is a *thin adapter*: it maps
-//! kernel messages to [`CoreInput`]s, hands the core the actor's RNG
+//! [`Supervisor`] actor in this module is a *thin adapter* holding only
+//! the core, the network controller's id and a reused output buffer.
+//! Build and configure the core (role, redundancy, faults), then wrap
+//! it with [`Supervisor::from_core`]; read every counter and latch
+//! through [`Supervisor::core`]. On each event the adapter maps the
+//! kernel message to a [`CoreInput`], hands the core the actor's RNG
 //! stream and the current instant, and replays the buffered
-//! [`CoreOutputs`] onto the deterministic scheduler — sends become
-//! `NetOp::Send` messages to the network controller, traces land in the
-//! kernel trace log, and every `Tick` re-arms itself one step later.
-//! The live `mcps-serve` host drives the *same* core from wall-clock
-//! time and framed transports, so simulated and served supervisors are
-//! one implementation.
+//! [`CoreOutputs`] onto the deterministic scheduler with the replay the
+//! device actors share: traces land in the kernel trace log, then sends
+//! become `NetOp::Send` messages to the network controller. Every
+//! `Tick` re-arms itself one step later. The live `mcps-serve` host
+//! drives the *same* core from wall-clock time and framed transports,
+//! so simulated and served supervisors are one implementation.
 //!
 //! # Fault robustness
 //!
@@ -24,14 +28,14 @@
 //! when devices or links misbehave, so it carries three defensive
 //! mechanisms:
 //!
-//! * **Command retry** — safety-critical commands ([`IceCommand::StopPump`],
-//!   [`IceCommand::ResumePump`]) that go unacknowledged are retransmitted
+//! * **Command retry** — safety-critical commands ([`IceCommand::StopPump`](crate::msg::IceCommand::StopPump),
+//!   [`IceCommand::ResumePump`](crate::msg::IceCommand::ResumePump)) that go unacknowledged are retransmitted
 //!   with the *same* command id under bounded exponential backoff;
 //!   devices deduplicate by id, so a retry can never double-apply.
 //!   Periodic commands (ticket grants) are never retried — the next
 //!   period re-issues them, and re-applying an old grant would extend
 //!   its validity window.
-//! * **Ack watchdog** — a [`IceCommand::StopPump`] still unacknowledged
+//! * **Ack watchdog** — a [`IceCommand::StopPump`](crate::msg::IceCommand::StopPump) still unacknowledged
 //!   after the last retry is treated as a lost pump: the supervisor
 //!   escalates to degraded mode rather than assuming the stop landed.
 //! * **Degraded mode** — entered when a streaming device goes silent
@@ -49,30 +53,24 @@ pub use sans_io::{
     CheckpointState, CoreInput, CoreOutputs, SupervisorCore, SupervisorRole, HEARTBEAT_PERIOD,
 };
 
-use mcps_device::faults::FaultPlan;
 use mcps_net::fabric::EndpointId;
-use mcps_net::monitor::DeadlineTracker;
 use mcps_runtime::actor::{Actor, ActorId};
 use mcps_runtime::kernel::Context;
 use mcps_runtime::time::{SimDuration, SimTime};
 
+use crate::actors::replay;
 use crate::app::ClinicalApp;
 use crate::manager::DeviceManager;
 use crate::msg::{IceMsg, NetOp};
 
 /// The supervisor actor: [`SupervisorCore`] adapted to the simulation
 /// kernel. See the module docs for the sans-io split.
+#[derive(Debug)]
 pub struct Supervisor {
     core: SupervisorCore,
     netctl: ActorId,
     /// Reused output buffer (no steady-state allocation per event).
     out: CoreOutputs,
-}
-
-impl std::fmt::Debug for Supervisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Supervisor").field("core", &self.core).finish()
-    }
 }
 
 impl Supervisor {
@@ -84,37 +82,18 @@ impl Supervisor {
         endpoint: EndpointId,
         rtt_deadline: SimDuration,
     ) -> Self {
-        Supervisor {
-            core: SupervisorCore::new(app, endpoint, rtt_deadline),
-            netctl,
-            out: CoreOutputs::new(),
-        }
+        Self::from_core(SupervisorCore::new(app, endpoint, rtt_deadline), netctl)
+    }
+
+    /// Wraps an already configured core.
+    pub fn from_core(core: SupervisorCore, netctl: ActorId) -> Self {
+        Supervisor { core, netctl, out: CoreOutputs::new() }
     }
 
     /// Sets the control-tick re-arm period (see
     /// [`SupervisorCore::with_step`]).
     pub fn with_step(mut self, step: SimDuration) -> Self {
         self.core = self.core.with_step(step);
-        self
-    }
-
-    /// Sets the role in a redundant pair (see [`SupervisorCore::with_role`]).
-    pub fn with_role(mut self, role: SupervisorRole) -> Self {
-        self.core = self.core.with_role(role);
-        self
-    }
-
-    /// Enables primary/standby redundancy under `scope` (see
-    /// [`SupervisorCore::with_redundancy`]).
-    pub fn with_redundancy(mut self, scope: &str) -> Self {
-        self.core = self.core.with_redundancy(scope);
-        self
-    }
-
-    /// Attaches the supervisor's own fault schedule (see
-    /// [`SupervisorCore::with_faults`]).
-    pub fn with_faults(mut self, fault: FaultPlan) -> Self {
-        self.core = self.core.with_faults(fault);
         self
     }
 
@@ -138,95 +117,9 @@ impl Supervisor {
         self.core.data_ignored()
     }
 
-    /// Commands sent (excluding retransmissions).
-    pub fn commands_sent(&self) -> u64 {
-        self.core.commands_sent()
-    }
-
-    /// Retransmissions of unacknowledged retryable commands.
-    pub fn commands_retried(&self) -> u64 {
-        self.core.commands_retried()
-    }
-
-    /// App commands suppressed while degraded.
-    pub fn commands_suppressed(&self) -> u64 {
-        self.core.commands_suppressed()
-    }
-
-    /// Command round-trip statistics.
-    pub fn rtt(&self) -> &DeadlineTracker {
-        self.core.rtt()
-    }
-
     /// When association (first) completed, if it did.
     pub fn associated_at(&self) -> Option<SimTime> {
         self.core.associated_at()
-    }
-
-    /// Completed associations (> 1 means at least one hot-swap).
-    pub fn associations_completed(&self) -> u32 {
-        self.core.associations_completed()
-    }
-
-    /// Whether the supervisor is currently in degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.core.is_degraded()
-    }
-
-    /// The latched alarm reason, if an alarm is active.
-    pub fn alarm(&self) -> Option<&'static str> {
-        self.core.alarm()
-    }
-
-    /// Degraded windows `(entered, exited)`, oldest first; an open
-    /// window has `None` as its exit.
-    pub fn degraded_log(&self) -> &[(SimTime, Option<SimTime>)] {
-        self.core.degraded_log()
-    }
-
-    /// Times the ack watchdog escalated a lost stop command.
-    pub fn watchdog_escalations(&self) -> u32 {
-        self.core.watchdog_escalations()
-    }
-
-    /// Current role (a standby flips to primary at promotion).
-    pub fn role(&self) -> SupervisorRole {
-        self.core.role()
-    }
-
-    /// Current fencing epoch.
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// Standby → primary promotions performed.
-    pub fn failovers(&self) -> u32 {
-        self.core.failovers()
-    }
-
-    /// Primary → standby demotions (split-brain resolution).
-    pub fn stepdowns(&self) -> u32 {
-        self.core.stepdowns()
-    }
-
-    /// App commands dropped because this supervisor was standby.
-    pub fn standby_suppressed(&self) -> u64 {
-        self.core.standby_suppressed()
-    }
-
-    /// Heartbeats sent / acknowledged / given up on.
-    pub fn heartbeat_counts(&self) -> (u64, u64, u64) {
-        self.core.heartbeat_counts()
-    }
-
-    /// Heartbeat round-trip times, milliseconds, in completion order.
-    pub fn heartbeat_rtts_ms(&self) -> &[f64] {
-        self.core.heartbeat_rtts_ms()
-    }
-
-    /// Command ids the peer reported inflight in its last checkpoint.
-    pub fn replicated_inflight_ids(&self) -> &[u64] {
-        self.core.replicated_inflight_ids()
     }
 
     /// Typed access to the hosted app's concrete state.
@@ -243,24 +136,15 @@ impl Actor<IceMsg> for Supervisor {
             IceMsg::PressButton | IceMsg::Net(NetOp::Send { .. }) => return,
         };
         let is_tick = matches!(input, CoreInput::Tick);
-        let now = ctx.now();
-        self.out.begin(ctx.trace_enabled());
-        // Split the borrow: the core takes the actor's RNG stream, the
-        // outputs buffer collects what the kernel should do.
-        let Supervisor { core, out, .. } = self;
-        core.handle(now, input, ctx.rng(), out);
-        for (category, message) in self.out.traces.drain(..) {
-            ctx.trace(category, message);
-        }
-        let (netctl, from) = (self.netctl, self.core.endpoint());
-        for (to, payload) in self.out.sends.drain(..) {
-            ctx.send(netctl, IceMsg::Net(NetOp::Send { from, to, payload }));
-        }
+        let Supervisor { core, netctl, out } = self;
+        out.begin(ctx.trace_enabled());
+        core.handle(ctx.now(), input, ctx.rng(), out);
+        replay(ctx, *netctl, core.endpoint(), &core.fault, out);
         // The driver owns the tick cadence: every tick re-arms, even
         // through crash windows and standby idling, so transient faults
         // recover and promotions can fire.
         if is_tick {
-            ctx.schedule_self(self.core.step(), IceMsg::Tick);
+            ctx.schedule_self(core.step(), IceMsg::Tick);
         }
     }
 }
@@ -371,7 +255,7 @@ mod tests {
             dev,
             NetPayload::Data { kind: VitalKind::Spo2, value: 97.0, sampled_at: SimTime::ZERO },
         );
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert_eq!(s.data_received(), 0);
         assert_eq!(s.data_ignored(), 1);
         assert!(s.app_as::<Probe>().unwrap().data_points.is_empty());
@@ -387,7 +271,7 @@ mod tests {
             NetPayload::Announce { profile: monitor_profile(), endpoint: dev },
         );
         {
-            let s = sim.actor_as::<Supervisor>(sup).unwrap();
+            let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
             assert!(s.manager().fully_associated());
             assert_eq!(s.app_as::<Probe>().unwrap().associated_calls, 1);
             assert_eq!(s.associations_completed(), 1);
@@ -398,7 +282,7 @@ mod tests {
             dev,
             NetPayload::Data { kind: VitalKind::Spo2, value: 96.0, sampled_at: SimTime::ZERO },
         );
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert_eq!(s.data_received(), 1);
         assert_eq!(s.app_as::<Probe>().unwrap().data_points, vec![(VitalKind::Spo2, 96.0)]);
     }
@@ -414,7 +298,7 @@ mod tests {
                 NetPayload::Announce { profile: monitor_profile(), endpoint: dev },
             );
         }
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert_eq!(s.app_as::<Probe>().unwrap().associated_calls, 1);
         assert_eq!(s.associations_completed(), 1);
     }
@@ -431,7 +315,7 @@ mod tests {
         // Supervisor ticks for 40 s with no data: liveness vacates.
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(40));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert!(!s.manager().fully_associated(), "silent device must vacate its slot");
         assert!(s.app_as::<Probe>().unwrap().ticks > 30);
         // Losing a streaming device is a degraded-mode entry.
@@ -458,7 +342,7 @@ mod tests {
         sim.actor_as_mut::<Supervisor>(sup).unwrap().core.last_data.remove(&dev);
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(5));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert!(
             s.manager().fully_associated(),
             "a device with no data *yet* must not be vacated instantly"
@@ -468,7 +352,7 @@ mod tests {
         // silence later the device is gone.
         let mut sim2 = sim;
         sim2.run_until(sim2.now() + SimDuration::from_secs(40));
-        assert!(!sim2.actor_as::<Supervisor>(sup).unwrap().manager().fully_associated());
+        assert!(!sim2.actor_as::<Supervisor>(sup).unwrap().core().manager().fully_associated());
     }
 
     /// Regression: inflight entries for commands whose acks never come
@@ -492,11 +376,11 @@ mod tests {
         );
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(10));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert_eq!(s.commands_sent(), 1);
         assert_eq!(s.commands_retried(), 0, "ticket grants are never retried");
         assert!(
-            s.core.inflight.values().all(|e| matches!(e.command, IceCommand::Heartbeat)),
+            s.inflight.values().all(|e| matches!(e.command, IceCommand::Heartbeat)),
             "expired command entries must be removed (only live heartbeats may remain)"
         );
         assert_eq!(s.rtt().unanswered(), 1, "dead heartbeats must not pollute command RTTs");
@@ -519,18 +403,14 @@ mod tests {
         );
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(60));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         // The app's stop is retried MAX_RETRIES times, then the
         // watchdog fires; the degrade path keeps probing with fresh
         // stops (each with its own retry cycle) as long as none is
         // confirmed. The pump never answers, so degraded mode holds.
         assert!(s.commands_retried() >= 2 * u64::from(MAX_RETRIES));
-        let probes = s
-            .core
-            .inflight
-            .values()
-            .filter(|e| !matches!(e.command, IceCommand::Heartbeat))
-            .count();
+        let probes =
+            s.inflight.values().filter(|e| !matches!(e.command, IceCommand::Heartbeat)).count();
         assert!(probes <= 1, "at most the current probe is outstanding");
         assert!(s.watchdog_escalations() >= 2);
         assert!(s.is_degraded(), "an unconfirmed stop must hold degraded mode");
@@ -558,7 +438,7 @@ mod tests {
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         // 40 s of silence: vacate + degrade.
         sim.run_until(sim.now() + SimDuration::from_secs(40));
-        assert!(sim.actor_as::<Supervisor>(sup).unwrap().is_degraded());
+        assert!(sim.actor_as::<Supervisor>(sup).unwrap().core().is_degraded());
         // Device comes back: re-announce, then fresh data every second.
         let back = sim.now() + SimDuration::from_secs(1);
         sim.schedule(
@@ -587,11 +467,11 @@ mod tests {
         // Inside the hysteresis window the mode must hold.
         sim.run_until(back + SimDuration::from_secs(10));
         assert!(
-            sim.actor_as::<Supervisor>(sup).unwrap().is_degraded(),
+            sim.actor_as::<Supervisor>(sup).unwrap().core().is_degraded(),
             "must stay degraded inside the hysteresis window"
         );
         sim.run_until(back + SimDuration::from_secs(30));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert!(!s.is_degraded(), "healthy for > hysteresis window: degraded mode ends");
         assert!(s.alarm().is_none(), "alarm clears on exit");
         let log = s.degraded_log();
@@ -611,9 +491,12 @@ mod tests {
         let nc = sim.add_actor("netctl", NetworkController::new(fabric));
         let sup = sim.add_actor(
             "standby",
-            Supervisor::new(app, nc, standby_ep, SimDuration::from_secs(2))
-                .with_role(SupervisorRole::Standby)
-                .with_redundancy(""),
+            Supervisor::from_core(
+                SupervisorCore::new(app, standby_ep, SimDuration::from_secs(2))
+                    .with_role(SupervisorRole::Standby)
+                    .with_redundancy(""),
+                nc,
+            ),
         );
         (sim, sup, dev, standby_ep)
     }
@@ -638,7 +521,7 @@ mod tests {
             },
         );
         {
-            let s = sim.actor_as::<Supervisor>(sup).unwrap();
+            let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
             assert_eq!(s.role(), SupervisorRole::Standby);
             assert_eq!(s.replicated_inflight_ids(), &[5, 6]);
             assert_eq!(s.failovers(), 0);
@@ -647,13 +530,13 @@ mod tests {
         // periods without a checkpoint the standby takes over.
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(20));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert_eq!(s.role(), SupervisorRole::Primary);
         assert_eq!(s.failovers(), 1);
         assert_eq!(s.epoch(), 2, "promotion epoch exceeds everything the primary stamped");
         assert!(s.is_degraded(), "a replicated degraded latch survives failover");
         assert_eq!(s.alarm(), Some("inherited-degraded"));
-        assert!(s.core.next_command_id >= 7, "the id high-water mark is adopted");
+        assert!(s.next_command_id >= 7, "the id high-water mark is adopted");
     }
 
     /// A standby that never saw a single checkpoint (primary died
@@ -664,7 +547,7 @@ mod tests {
         let (mut sim, sup, _, _) = setup_standby(Probe::default());
         sim.schedule(SimTime::ZERO, sup, IceMsg::Tick);
         sim.run_until(SimTime::from_secs(20));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert_eq!(s.role(), SupervisorRole::Primary);
         assert!(s.epoch() >= 2, "a promoted standby must outrank the epoch-1 primary");
     }
@@ -685,7 +568,7 @@ mod tests {
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         // 40 s of silence: vacate + degrade, window left open.
         sim.run_until(sim.now() + SimDuration::from_secs(40));
-        assert!(sim.actor_as::<Supervisor>(sup).unwrap().is_degraded());
+        assert!(sim.actor_as::<Supervisor>(sup).unwrap().core().is_degraded());
         let at = sim.now() + SimDuration::from_secs(1);
         sim.schedule(
             at,
@@ -703,13 +586,13 @@ mod tests {
             }),
         );
         sim.run_until(at + SimDuration::from_secs(2));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert_eq!(s.role(), SupervisorRole::Standby);
         assert_eq!(s.stepdowns(), 1);
         assert!(!s.is_degraded(), "the higher-epoch primary owns the degraded state now");
         assert!(s.alarm().is_none());
         assert!(s.degraded_log().last().unwrap().1.is_some(), "open window closed at stepdown");
-        assert!(s.core.inflight.is_empty(), "inflight commands are abandoned at stepdown");
+        assert!(s.inflight.is_empty(), "inflight commands are abandoned at stepdown");
     }
 
     /// Standbys own no part of the command channel: app commands are
@@ -727,7 +610,7 @@ mod tests {
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         // Short of the promotion trigger, so it stays standby throughout.
         sim.run_until(sim.now() + SimDuration::from_secs(8));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         assert_eq!(s.role(), SupervisorRole::Standby);
         assert_eq!(s.commands_sent(), 0, "standbys put nothing on the wire");
         assert!(s.standby_suppressed() >= 1, "the app's stop was suppressed, not sent");
@@ -778,7 +661,7 @@ mod tests {
             }),
         );
         sim.run_until(t2 + SimDuration::from_secs(1));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
         let (hb_sent, hb_acked, _) = s.heartbeat_counts();
         assert!(hb_sent >= 4);
         assert_eq!(hb_acked, 1, "only the inflight-matched ack counts toward RTTs");
@@ -786,7 +669,7 @@ mod tests {
         assert!(s.heartbeat_rtts_ms()[0] >= 999.0, "RTT measured from the heartbeat send");
         assert_eq!(s.commands_sent(), 2, "the grant plus exactly one fail-safe release ResumePump");
         assert!(
-            s.core.inflight.values().any(|e| matches!(e.command, IceCommand::ResumePump)),
+            s.inflight.values().any(|e| matches!(e.command, IceCommand::ResumePump)),
             "the release resume is on the wire"
         );
     }

@@ -613,27 +613,6 @@ impl SupervisorCore {
         self.app.as_any().downcast_ref::<T>()
     }
 
-    /// Exports the core's counters into `bus` under `prefix` — the
-    /// live host publishes these the same way scenarios harvest the
-    /// sim supervisor.
-    pub fn export_telemetry(&self, bus: &mut mcps_runtime::telemetry::Telemetry, prefix: &str) {
-        bus.incr(&format!("{prefix}.data_received"), self.data_received);
-        bus.incr(&format!("{prefix}.data_ignored"), self.data_ignored);
-        bus.incr(&format!("{prefix}.commands_sent"), self.commands_sent);
-        bus.incr(&format!("{prefix}.commands_retried"), self.commands_retried);
-        bus.incr(&format!("{prefix}.commands_suppressed"), self.commands_suppressed);
-        bus.incr(&format!("{prefix}.watchdog_escalations"), u64::from(self.watchdog_escalations));
-        bus.incr(&format!("{prefix}.failovers"), u64::from(self.failovers));
-        bus.incr(&format!("{prefix}.stepdowns"), u64::from(self.stepdowns));
-        bus.incr(&format!("{prefix}.epoch"), self.epoch);
-        bus.incr(&format!("{prefix}.heartbeats_sent"), self.hb_sent);
-        bus.incr(&format!("{prefix}.heartbeats_acked"), self.hb_acked);
-        bus.incr(&format!("{prefix}.heartbeats_unanswered"), self.hb_unanswered);
-        for &ms in &self.hb_rtt_ms {
-            bus.observe(&format!("{prefix}.heartbeat_rtt_ms"), ms);
-        }
-    }
-
     /// Feeds one timestamped input through the state machine,
     /// appending everything it wants done to `out`. `now` must be
     /// monotonically non-decreasing across calls; the driver owns the

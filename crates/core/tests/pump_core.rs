@@ -189,12 +189,11 @@ fn run_actor(p: &Program) -> Observed {
     let mut sim: Simulation<IceMsg> = Simulation::new(1);
     let recorder = sim.add_actor("netctl", Recorder::default());
     let body = PatientBody::new(VirtualPatient::new(PatientParams::default()));
-    let mut actor =
-        PumpActor::new(p.pump(), body.clone(), recorder, PUMP).with_faults(p.fault.clone());
+    let mut core = PumpCore::new(p.pump(), PUMP).with_faults(p.fault.clone());
     if p.supervised {
-        actor = actor.with_supervision();
+        core = core.with_supervision();
     }
-    let pump = sim.add_actor("pump", actor);
+    let pump = sim.add_actor("pump", PumpActor::from_core(core, body.clone(), recorder));
     sim.schedule(SimTime::ZERO, pump, IceMsg::Tick);
     for &(t, input) in &p.inputs {
         sim.run_until(t);

@@ -418,12 +418,6 @@ impl Fabric {
         self.cfg_gen += 1;
     }
 
-    /// Overrides QoS symmetrically on both directions between `a` and `b`.
-    pub fn set_link_symmetric(&mut self, a: EndpointId, b: EndpointId, qos: LinkQos) {
-        self.set_link(a, b, qos);
-        self.set_link(b, a, qos);
-    }
-
     /// Installs an outage plan on the directed link `from → to`.
     pub fn set_outages(&mut self, from: EndpointId, to: EndpointId, plan: OutagePlan) {
         let i = self.link_record_index(from, to);

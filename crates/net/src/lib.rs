@@ -8,7 +8,7 @@
 //!   topic routing with per-link statistics,
 //! * [`monitor`] — stream-freshness and command-deadline tracking, the
 //!   raw material of fail-safe logic,
-//! * [`reference`] — the original tree-routed fabric, kept as the
+//! * [`reference`](mod@reference) — the original tree-routed fabric, kept as the
 //!   behavioural baseline the dense engine is property-tested against.
 //!
 //! The fabric is a pure planning model: it decides who receives a

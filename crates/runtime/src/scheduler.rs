@@ -35,7 +35,7 @@
 //!
 //! ## Sparse fast path
 //!
-//! Below [`SPARSE_MAX`] concurrent events the wheel machinery is pure
+//! Below `SPARSE_MAX` (64) concurrent events the wheel machinery is pure
 //! overhead: a ward's worth of self-rearming device timers pops one
 //! event and schedules one replacement, never holding more than a few
 //! dozen at once. While the stored population fits, events park in a

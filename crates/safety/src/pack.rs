@@ -12,7 +12,7 @@
 //!   bounded-response obligation age) into a fixed-width `u64` word
 //!   vector, usually one or two words.
 //! * **Interned arena** — every distinct packed state is appended once
-//!   to a [`StateArena`] and addressed by `u32` id everywhere else:
+//!   to a `StateArena` and addressed by `u32` id everywhere else:
 //!   the BFS frontier is a `Vec<u32>`, the visited set an
 //!   open-addressing id table hashed with `fxhash`, and the parent map
 //!   a dense `Vec<(u32, CStep)>` indexed by id. Successor generation
