@@ -8,6 +8,12 @@
 #   1b. the bed runs the pump core              — crates/serve/src may not
 #      name Simulation or actor_as: the live bed drives PumpCore directly,
 #      with no private kernel
+#   1c. one property, two engines               — no .rs file may name the
+#      removed per-engine checker entry points (check_safety*,
+#      check_bounded_response*, check_{pca,failover}_variant_{stats,
+#      reference}) or the removed MetricsHub: properties are stated once
+#      as a Property and checked via Network::check / check_with /
+#      check_reference
 #   2. cargo clippy --workspace -D warnings     — lints, all targets
 #   2a. cargo doc --workspace --no-deps         — rustdoc with -D warnings:
 #      no broken, private or ambiguous intra-doc links
@@ -71,6 +77,12 @@ fi
 echo "== the bed runs the pump core (no kernel in mcps-serve) =="
 if git grep -nE '\bSimulation\b|actor_as' -- crates/serve/src; then
     echo "the bed drives PumpCore directly; crates/serve/src must not run a Simulation"
+    exit 1
+fi
+
+echo "== one property, two engines (no per-engine checker entry points) =="
+if git grep -nE 'check_(safety|bounded_response)|check_(pca|failover)_variant_(stats|reference)|MetricsHub' -- '*.rs'; then
+    echo "state the property once as a Property and check it via Network::check, check_with or check_reference"
     exit 1
 fi
 

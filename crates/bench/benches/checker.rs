@@ -6,6 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcps_bench::timer_chain;
 use mcps_safety::models::{check_pca_variant, PcaModelVariant};
+use mcps_safety::Property;
+
+/// The unreachable bad state: every check explores the full space.
+const EXHAUST: Property = Property::Safety { bad: |_| false };
 
 fn bench_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("checker/pca_variant");
@@ -26,7 +30,7 @@ fn bench_state_space_growth(c: &mut Criterion) {
     for &n in &[1usize, 2, 3] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let net = timer_chain(n, 20);
-            b.iter(|| net.check_safety(|_| false, 50_000_000))
+            b.iter(|| net.check(EXHAUST, 50_000_000))
         });
     }
     group.finish();
@@ -36,19 +40,17 @@ fn bench_state_space_growth(c: &mut Criterion) {
 /// layout from the scheduler) and on the retained first-generation
 /// engine. `timer_chain(2, 20)` keeps the reference side tolerable.
 fn bench_engine_comparison(c: &mut Criterion) {
-    use mcps_safety::pack::ExploreMode;
+    use mcps_safety::pack::{ExploreMode, Reduction};
     let mut group = c.benchmark_group("checker/engine_bound20_n2");
     group.sample_size(10);
     let net = timer_chain(2, 20);
     group.bench_function("packed_serial", |b| {
-        b.iter(|| net.check_safety_in(|_| false, 50_000_000, ExploreMode::Serial))
+        b.iter(|| net.check_with(EXHAUST, 50_000_000, ExploreMode::Serial, Reduction::None))
     });
     group.bench_function("packed_parallel", |b| {
-        b.iter(|| net.check_safety_in(|_| false, 50_000_000, ExploreMode::Parallel))
+        b.iter(|| net.check_with(EXHAUST, 50_000_000, ExploreMode::Parallel, Reduction::None))
     });
-    group.bench_function("reference", |b| {
-        b.iter(|| net.check_safety_reference(|_| false, 50_000_000))
-    });
+    group.bench_function("reference", |b| b.iter(|| net.check_reference(EXHAUST, 50_000_000)));
     group.finish();
 }
 

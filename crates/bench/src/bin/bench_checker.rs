@@ -28,10 +28,9 @@
 //! baseline, too slow for the CI smoke run.
 
 use mcps_bench::{timer_chain, Args};
-use mcps_safety::models::{
-    check_failover_variant_stats, check_pca_variant_stats, FailoverModelVariant, PcaModelVariant,
-};
+use mcps_safety::models::{failover_model, pca_model, FailoverModelVariant, PcaModelVariant};
 use mcps_safety::pack::{ExploreMode, Reduction};
+use mcps_safety::Property;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -66,7 +65,12 @@ fn main() {
     let mut workloads = Vec::new();
     for variant in PcaModelVariant::ALL {
         let start = Instant::now();
-        let (outcome, stats) = check_pca_variant_stats(variant, budget, ExploreMode::Auto);
+        let (outcome, stats) = pca_model(variant).check_with(
+            variant.property(),
+            budget,
+            ExploreMode::Auto,
+            Reduction::None,
+        );
         workloads.push(report(format!("e5/{variant:?}"), outcome_name(&outcome), stats, start));
     }
 
@@ -75,8 +79,8 @@ fn main() {
     let mut property_failures = 0u32;
     for variant in FailoverModelVariant::ALL {
         let start = Instant::now();
-        let (outcome, stats) = check_failover_variant_stats(
-            variant,
+        let (outcome, stats) = failover_model(variant).check_with(
+            variant.property(),
             budget,
             ExploreMode::Auto,
             Reduction::ClockActive,
@@ -98,8 +102,12 @@ fn main() {
     }
     for variant in unreduced {
         let start = Instant::now();
-        let (outcome, stats) =
-            check_failover_variant_stats(variant, budget, ExploreMode::Auto, Reduction::None);
+        let (outcome, stats) = failover_model(variant).check_with(
+            variant.property(),
+            budget,
+            ExploreMode::Auto,
+            Reduction::None,
+        );
         workloads.push(report(
             format!("e13/{variant:?}/unreduced"),
             outcome_name(&outcome),
@@ -112,7 +120,12 @@ fn main() {
     for bound in [10u32, 20] {
         let net = timer_chain(3, bound);
         let start = Instant::now();
-        let (outcome, stats) = net.check_safety_stats(|_| false, budget, ExploreMode::Auto);
+        let (outcome, stats) = net.check_with(
+            Property::Safety { bad: |_| false },
+            budget,
+            ExploreMode::Auto,
+            Reduction::None,
+        );
         let r = report(format!("state_space_bound{bound}"), outcome_name(&outcome), stats, start);
         if bound == 20 {
             bound20_ms = r.millis;

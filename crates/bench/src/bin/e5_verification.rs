@@ -19,8 +19,8 @@
 use mcps_bench::{Args, Table};
 use mcps_runtime::telemetry::Telemetry;
 use mcps_safety::checker::CheckOutcome;
-use mcps_safety::models::{check_pca_variant_stats, PcaModelVariant};
-use mcps_safety::pack::ExploreMode;
+use mcps_safety::models::{pca_model, PcaModelVariant};
+use mcps_safety::pack::{ExploreMode, Reduction};
 use std::time::Instant;
 
 fn main() {
@@ -47,7 +47,12 @@ fn main() {
     let mut all_match = true;
     for variant in PcaModelVariant::ALL {
         let start = Instant::now();
-        let (outcome, stats) = check_pca_variant_stats(variant, budget, ExploreMode::Auto);
+        let (outcome, stats) = pca_model(variant).check_with(
+            variant.property(),
+            budget,
+            ExploreMode::Auto,
+            Reduction::None,
+        );
         let elapsed = start.elapsed();
         let (verdict, states, cex_steps, cex_time) = match &outcome {
             CheckOutcome::Holds { states } => ("HOLDS", *states, String::new(), String::new()),

@@ -23,7 +23,7 @@
 mod series;
 mod stats;
 
-pub use series::{MetricsHub, TimeSeries};
+pub use series::TimeSeries;
 pub use stats::{percentile, Summary, Welford};
 
 use serde::{Deserialize, Serialize};

@@ -1,14 +1,10 @@
-//! Run-time metric collection: counters and timestamped series.
-//!
-//! Actors record observations into a [`MetricsHub`] (usually owned by the
-//! experiment harness and shared via `Rc<RefCell<_>>` or filled from
-//! trace post-processing). Experiments then reduce series to
-//! [`Summary`] rows.
+//! Timestamped scalar series: the time-series tracks of
+//! [`Telemetry`](super::Telemetry), with sample-and-hold lookup.
+//! Experiments reduce series to [`Summary`] rows.
 
 use super::stats::Summary;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A timestamped scalar series.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -130,50 +126,6 @@ impl TimeSeries {
     }
 }
 
-/// A named collection of counters and series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MetricsHub {
-    counters: BTreeMap<String, u64>,
-    series: BTreeMap<String, TimeSeries>,
-}
-
-impl MetricsHub {
-    /// Creates an empty hub.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the named counter (creating it at zero).
-    pub fn incr(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
-    }
-
-    /// Current value of a counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Appends to the named series (creating it if needed).
-    pub fn record(&mut self, name: &str, at: SimTime, value: f64) {
-        self.series.entry(name.to_owned()).or_default().record(at, value);
-    }
-
-    /// The named series, if it exists.
-    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Names of all counters, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
-    /// Names of all series, sorted.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,19 +175,5 @@ mod tests {
         assert!(s
             .time_fraction_where(SimTime::from_secs(2), SimTime::from_secs(2), |_| true)
             .is_none());
-    }
-
-    #[test]
-    fn hub_counters_and_series() {
-        let mut hub = MetricsHub::new();
-        hub.incr("boluses", 1);
-        hub.incr("boluses", 2);
-        assert_eq!(hub.counter("boluses"), 3);
-        assert_eq!(hub.counter("missing"), 0);
-        hub.record("spo2", SimTime::from_secs(1), 97.0);
-        hub.record("spo2", SimTime::from_secs(2), 95.0);
-        assert_eq!(hub.series("spo2").unwrap().len(), 2);
-        assert_eq!(hub.series_names().collect::<Vec<_>>(), vec!["spo2"]);
-        assert_eq!(hub.counter_names().collect::<Vec<_>>(), vec!["boluses"]);
     }
 }

@@ -1,24 +1,27 @@
 //! Explicit-state model checking of timed-automata networks.
 //!
 //! [`Network`] composes automata with CCS-style channel rendezvous and
-//! shared discrete time. [`Network::check_safety`] explores the state
-//! space breadth-first looking for a state satisfying a *bad*
-//! predicate; [`Network::check_bounded_response`] verifies the
-//! leads-to-within-deadline properties clinical interlocks are
-//! specified with ("whenever the monitor alarms, the pump is stopped
-//! within `T` seconds"). Both return shortest counterexample traces.
+//! shared discrete time. A [`Property`] states what to verify, once:
+//! [`Property::Safety`] asks that no reachable state satisfies a *bad*
+//! predicate; [`Property::BoundedResponse`] is the
+//! leads-to-within-deadline form clinical interlocks are specified with
+//! ("whenever the monitor alarms, the pump is stopped within `T`
+//! seconds"). Every check returns a shortest counterexample trace.
 //!
 //! Clock values are capped at each clock's ceiling (max constant + 1),
 //! which preserves all guard/invariant truth values while keeping the
 //! state space finite.
 //!
-//! Exploration runs on the packed-state engine of [`crate::pack`]:
-//! states are bit-packed into `u64` word vectors, interned once in an
-//! arena and addressed by `u32` id, with an optional deterministic
-//! layer-parallel BFS. The original map-of-cloned-states engine is
-//! retained as [`Network::check_safety_reference`] /
-//! [`Network::check_bounded_response_reference`] and serves as the
-//! differential-testing oracle for the packed engine.
+//! There are three entry points, and two engines behind them.
+//! [`Network::check`] and [`Network::check_with`] run the packed-state
+//! engine of [`crate::pack`]: states are bit-packed into `u64` word
+//! vectors, interned once in an arena and addressed by `u32` id, with
+//! an optional deterministic layer-parallel BFS ([`ExploreMode`]) and
+//! clock-activity reduction ([`Reduction`]). [`Network::check_reference`]
+//! runs the original map-of-cloned-states engine, the differential
+//! oracle for the packed one. Both engines check the same [`Property`]
+//! value through the same monitor, so oracle and engine cannot differ
+//! in what they verify.
 
 use crate::automaton::{Action, Automaton};
 use crate::pack::{Engine, ExploreMode, ExploreStats, PackedLayout, Reduction};
@@ -220,6 +223,69 @@ impl CheckOutcome {
     }
 }
 
+/// A state predicate of a [`Property`]. Non-capturing closures
+/// coerce to it: `|v| v.in_location("pump", "Stopped")`.
+pub type Pred = fn(&StateView<'_>) -> bool;
+
+/// A model-checkable property, stated once and checked by either engine
+/// ([`Network::check_with`] or the oracle [`Network::check_reference`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Property {
+    /// No reachable state satisfies `bad`.
+    Safety {
+        /// The forbidden-state predicate.
+        bad: Pred,
+    },
+    /// Whenever `p` holds, `q` holds within `deadline` time units, over
+    /// all reachable behaviours. The pending obligation's age is
+    /// tracked through the exploration as part of the state.
+    BoundedResponse {
+        /// The trigger.
+        p: Pred,
+        /// The response that discharges the obligation.
+        q: Pred,
+        /// Time units within which `q` must follow `p`.
+        deadline: u32,
+    },
+}
+
+impl Property {
+    /// Distinct obligation encodings a checked state carries: 1 for
+    /// safety, `deadline + 2` for bounded response (`None` plus ages
+    /// `0..=deadline`).
+    pub(crate) fn pending_values(self) -> u64 {
+        match self {
+            Property::Safety { .. } => 1,
+            Property::BoundedResponse { deadline, .. } => u64::from(deadline) + 2,
+        }
+    }
+
+    /// The state monitor both engines run: judges one (state,
+    /// obligation age) pair and returns the age to store with the state.
+    pub(crate) fn monitor(self, view: &StateView<'_>, pending: Option<u32>) -> MonitorVerdict {
+        match self {
+            Property::Safety { bad } => {
+                if bad(view) {
+                    MonitorVerdict::Bad
+                } else {
+                    MonitorVerdict::Ok(None)
+                }
+            }
+            // Tracks a pending "respond by `deadline`" obligation.
+            Property::BoundedResponse { p, q, deadline } => match pending {
+                // An obligation older than the deadline is a violation
+                // even if `q` holds *now*: it arrived too late.
+                Some(age) if age > deadline => MonitorVerdict::Bad,
+                // `q` at or before the deadline discharges it.
+                _ if q(view) => MonitorVerdict::Ok(None),
+                Some(age) => MonitorVerdict::Ok(Some(age)),
+                // `p` without `q` opens one.
+                None => MonitorVerdict::Ok(p(view).then_some(0)),
+            },
+        }
+    }
+}
+
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct Key {
     state: NetState,
@@ -353,151 +419,11 @@ impl Network {
         true
     }
 
-    /// Checks that no reachable state satisfies `bad`, exploring at
-    /// most `max_states` distinct states. Runs on the packed-state
-    /// engine in [`ExploreMode::Auto`].
-    pub fn check_safety(
-        &self,
-        bad: impl Fn(&StateView<'_>) -> bool + Sync,
-        max_states: usize,
-    ) -> CheckOutcome {
-        self.check_safety_in(bad, max_states, ExploreMode::Auto)
-    }
-
-    /// [`Self::check_safety`] with an explicit [`ExploreMode`].
-    pub fn check_safety_in(
-        &self,
-        bad: impl Fn(&StateView<'_>) -> bool + Sync,
-        max_states: usize,
-        mode: ExploreMode,
-    ) -> CheckOutcome {
-        self.check_safety_stats(bad, max_states, mode).0
-    }
-
-    /// [`Self::check_safety`] returning exploration statistics
-    /// alongside the verdict (for benches and perf baselines).
-    pub fn check_safety_stats(
-        &self,
-        bad: impl Fn(&StateView<'_>) -> bool + Sync,
-        max_states: usize,
-        mode: ExploreMode,
-    ) -> (CheckOutcome, ExploreStats) {
-        self.check_safety_stats_reduced(bad, max_states, mode, Reduction::None)
-    }
-
-    /// [`Self::check_safety_stats`] with an explicit [`Reduction`].
-    ///
-    /// With [`Reduction::ClockActive`], the `bad` predicate must not
-    /// read clocks through [`StateView::clock`] unless the owning
-    /// automaton constrains them in the relevant locations — inactive
-    /// clocks are normalized to their ceiling.
-    pub fn check_safety_stats_reduced(
-        &self,
-        bad: impl Fn(&StateView<'_>) -> bool + Sync,
-        max_states: usize,
-        mode: ExploreMode,
-        reduction: Reduction,
-    ) -> (CheckOutcome, ExploreStats) {
-        Engine::new(self, 1, reduction).explore(max_states, mode, &|view: &StateView<'_>, _| {
-            if bad(view) {
-                MonitorVerdict::Bad
-            } else {
-                MonitorVerdict::Ok(None)
-            }
-        })
-    }
-
-    /// Checks "whenever `p` holds, `q` holds within `deadline` time
-    /// units" over all reachable behaviours. The obligation is tracked
-    /// through the exploration as part of the state. Runs on the
-    /// packed-state engine in [`ExploreMode::Auto`].
-    pub fn check_bounded_response(
-        &self,
-        p: impl Fn(&StateView<'_>) -> bool + Sync,
-        q: impl Fn(&StateView<'_>) -> bool + Sync,
-        deadline: u32,
-        max_states: usize,
-    ) -> CheckOutcome {
-        self.check_bounded_response_in(p, q, deadline, max_states, ExploreMode::Auto)
-    }
-
-    /// [`Self::check_bounded_response`] with an explicit
-    /// [`ExploreMode`].
-    pub fn check_bounded_response_in(
-        &self,
-        p: impl Fn(&StateView<'_>) -> bool + Sync,
-        q: impl Fn(&StateView<'_>) -> bool + Sync,
-        deadline: u32,
-        max_states: usize,
-        mode: ExploreMode,
-    ) -> CheckOutcome {
-        self.check_bounded_response_stats(p, q, deadline, max_states, mode).0
-    }
-
-    /// [`Self::check_bounded_response`] returning exploration
-    /// statistics alongside the verdict.
-    pub fn check_bounded_response_stats(
-        &self,
-        p: impl Fn(&StateView<'_>) -> bool + Sync,
-        q: impl Fn(&StateView<'_>) -> bool + Sync,
-        deadline: u32,
-        max_states: usize,
-        mode: ExploreMode,
-    ) -> (CheckOutcome, ExploreStats) {
-        self.check_bounded_response_stats_reduced(p, q, deadline, max_states, mode, Reduction::None)
-    }
-
-    /// [`Self::check_bounded_response_stats`] with an explicit
-    /// [`Reduction`]; see [`Self::check_safety_stats_reduced`] for the
-    /// predicate contract.
-    pub fn check_bounded_response_stats_reduced(
-        &self,
-        p: impl Fn(&StateView<'_>) -> bool + Sync,
-        q: impl Fn(&StateView<'_>) -> bool + Sync,
-        deadline: u32,
-        max_states: usize,
-        mode: ExploreMode,
-        reduction: Reduction,
-    ) -> (CheckOutcome, ExploreStats) {
-        let monitor = bounded_monitor(p, q, deadline);
-        Engine::new(self, u64::from(deadline) + 2, reduction).explore(max_states, mode, &monitor)
-    }
-
-    /// First-generation [`Self::check_safety`]: clones whole states
-    /// into a `HashMap`-backed visited set. Kept as the differential
-    /// oracle the packed engine is tested against.
-    pub fn check_safety_reference(
-        &self,
-        bad: impl Fn(&StateView<'_>) -> bool,
-        max_states: usize,
-    ) -> CheckOutcome {
-        self.explore_reference(max_states, |view, _| {
-            if bad(view) {
-                MonitorVerdict::Bad
-            } else {
-                MonitorVerdict::Ok(None)
-            }
-        })
-    }
-
-    /// First-generation [`Self::check_bounded_response`]; see
-    /// [`Self::check_safety_reference`].
-    pub fn check_bounded_response_reference(
-        &self,
-        p: impl Fn(&StateView<'_>) -> bool,
-        q: impl Fn(&StateView<'_>) -> bool,
-        deadline: u32,
-        max_states: usize,
-    ) -> CheckOutcome {
-        self.explore_reference(max_states, bounded_monitor(p, q, deadline))
-    }
-
-    /// The packed-state layout this network's checker runs on. `None`
-    /// for plain safety checks; `Some(deadline)` when a
-    /// bounded-response obligation rides along in the state. Exposed so
-    /// tests can round-trip the encoding directly.
-    pub fn packed_layout(&self, deadline: Option<u32>) -> PackedLayout {
-        PackedLayout::new(self, deadline.map_or(1, |d| u64::from(d) + 2))
+    /// The packed-state layout this network's checker runs `prop` on;
+    /// a bounded-response obligation rides along in the state. Exposed
+    /// so tests can round-trip the encoding directly.
+    pub fn packed_layout(&self, prop: Property) -> PackedLayout {
+        PackedLayout::new(self, prop)
     }
 
     /// Per-automaton clock ceilings (parallel to [`Self::automata`]).
@@ -505,14 +431,37 @@ impl Network {
         &self.ceilings
     }
 
-    fn explore_reference(
+    /// Checks `prop`, exploring at most `max_states` distinct states,
+    /// on the packed-state engine in [`ExploreMode::Auto`] over the
+    /// exact product space ([`Reduction::None`]).
+    pub fn check(&self, prop: Property, max_states: usize) -> CheckOutcome {
+        self.check_with(prop, max_states, ExploreMode::Auto, Reduction::None).0
+    }
+
+    /// [`Self::check`] with an explicit [`ExploreMode`] and
+    /// [`Reduction`], returning exploration statistics alongside the
+    /// verdict (for benches and perf baselines).
+    ///
+    /// With [`Reduction::ClockActive`], the property's predicates must
+    /// not read clocks through [`StateView::clock`] unless the owning
+    /// automaton constrains them in the relevant locations — inactive
+    /// clocks are normalized to their ceiling.
+    pub fn check_with(
         &self,
+        prop: Property,
         max_states: usize,
-        monitor: impl Fn(&StateView<'_>, Option<u32>) -> MonitorVerdict,
-    ) -> CheckOutcome {
+        mode: ExploreMode,
+        reduction: Reduction,
+    ) -> (CheckOutcome, ExploreStats) {
+        Engine::new(self, prop, reduction).explore(max_states, mode)
+    }
+
+    /// [`Self::check`] on the first-generation engine, which clones
+    /// whole states into a `HashMap`-backed visited set. Kept as the
+    /// differential oracle the packed engine is tested against.
+    pub fn check_reference(&self, prop: Property, max_states: usize) -> CheckOutcome {
         let init = self.initial_state();
-        let init_verdict = monitor(&StateView::nested(self, &init), None);
-        let init_pending = match init_verdict {
+        let init_pending = match prop.monitor(&StateView::nested(self, &init), None) {
             MonitorVerdict::Bad => {
                 return CheckOutcome::Violated { trace: Trace { steps: vec![] }, states: 1 }
             }
@@ -530,8 +479,7 @@ impl Network {
                     (Step::Delay, Some(a)) => Some(a + 1),
                     (_, p) => p,
                 };
-                let verdict = monitor(&StateView::nested(self, &next), aged);
-                let pending = match verdict {
+                let pending = match prop.monitor(&StateView::nested(self, &next), aged) {
                     MonitorVerdict::Bad => {
                         let mut steps = vec![step.clone()];
                         let mut cur = Some(&key);
@@ -593,35 +541,6 @@ pub(crate) enum MonitorVerdict {
     Bad,
 }
 
-/// The bounded-response monitor shared by the packed and reference
-/// engines: tracks a pending "respond by `deadline`" obligation through
-/// the exploration.
-fn bounded_monitor(
-    p: impl Fn(&StateView<'_>) -> bool,
-    q: impl Fn(&StateView<'_>) -> bool,
-    deadline: u32,
-) -> impl Fn(&StateView<'_>, Option<u32>) -> MonitorVerdict {
-    move |view, pending| {
-        // An obligation older than the deadline is a violation even
-        // if `q` holds *now* — it arrived too late.
-        if matches!(pending, Some(age) if age > deadline) {
-            return MonitorVerdict::Bad;
-        }
-        // Q at or before the deadline discharges the obligation.
-        let pending = if q(view) { None } else { pending };
-        match pending {
-            Some(age) => MonitorVerdict::Ok(Some(age)),
-            None => {
-                if p(view) && !q(view) {
-                    MonitorVerdict::Ok(Some(0))
-                } else {
-                    MonitorVerdict::Ok(None)
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,8 +571,8 @@ mod tests {
     fn safety_holds_on_simple_network() {
         let net = lamp_network(5);
         // The lamp can never be on with x > 5 (invariant forbids it).
-        let out =
-            net.check_safety(|v| v.in_location("lamp", "On") && v.clock("lamp", "x") > 5, 100_000);
+        let bad: Pred = |v| v.in_location("lamp", "On") && v.clock("lamp", "x") > 5;
+        let out = net.check(Property::Safety { bad }, 100_000);
         assert!(out.holds(), "{out:?}");
     }
 
@@ -661,7 +580,7 @@ mod tests {
     fn safety_violation_found_with_trace() {
         let net = lamp_network(5);
         // "The lamp is never on" is false; shortest trace is one sync.
-        let out = net.check_safety(|v| v.in_location("lamp", "On"), 100_000);
+        let out = net.check(Property::Safety { bad: |v| v.in_location("lamp", "On") }, 100_000);
         let trace = out.trace().expect("should be violated");
         assert_eq!(trace.steps.len(), 1);
         assert!(matches!(&trace.steps[0], Step::Sync { channel, .. } if channel == "press"));
@@ -671,10 +590,12 @@ mod tests {
     fn bounded_response_holds() {
         let net = lamp_network(5);
         // Whenever the lamp is on, it is off within 5 units.
-        let out = net.check_bounded_response(
-            |v| v.in_location("lamp", "On"),
-            |v| v.in_location("lamp", "Off"),
-            5,
+        let out = net.check(
+            Property::BoundedResponse {
+                p: |v| v.in_location("lamp", "On"),
+                q: |v| v.in_location("lamp", "Off"),
+                deadline: 5,
+            },
             100_000,
         );
         assert!(out.holds(), "{out:?}");
@@ -684,10 +605,12 @@ mod tests {
     fn bounded_response_fails_with_tight_deadline() {
         let net = lamp_network(5);
         // Off within 2 is violated (the lamp may stay on up to 5).
-        let out = net.check_bounded_response(
-            |v| v.in_location("lamp", "On"),
-            |v| v.in_location("lamp", "Off"),
-            2,
+        let out = net.check(
+            Property::BoundedResponse {
+                p: |v| v.in_location("lamp", "On"),
+                q: |v| v.in_location("lamp", "Off"),
+                deadline: 2,
+            },
             100_000,
         );
         let trace = out.trace().expect("should be violated");
@@ -699,10 +622,12 @@ mod tests {
         // Lamp with timeout window [3,5]: after 5 units in On, delay is
         // forbidden, so the timeout edge must fire.
         let net = lamp_network(5);
-        let out = net.check_bounded_response(
-            |v| v.in_location("lamp", "On"),
-            |v| v.in_location("lamp", "Off"),
-            6,
+        let out = net.check(
+            Property::BoundedResponse {
+                p: |v| v.in_location("lamp", "On"),
+                q: |v| v.in_location("lamp", "Off"),
+                deadline: 6,
+            },
             100_000,
         );
         assert!(out.holds());
@@ -733,7 +658,7 @@ mod tests {
     #[test]
     fn exhaustion_reports_budget() {
         let net = lamp_network(5);
-        let out = net.check_safety(|_| false, 3);
+        let out = net.check(Property::Safety { bad: |_| false }, 3);
         assert_eq!(out, CheckOutcome::Exhausted { budget: 3 });
     }
 
@@ -754,7 +679,7 @@ mod tests {
     #[should_panic(expected = "no automaton named")]
     fn property_typo_fails_loudly() {
         let net = lamp_network(5);
-        let _ = net.check_safety(|v| v.in_location("lampp", "On"), 10);
+        let _ = net.check(Property::Safety { bad: |v| v.in_location("lampp", "On") }, 10);
     }
 
     #[test]
@@ -765,7 +690,7 @@ mod tests {
         b.clock("x");
         b.location("L");
         let net = Network::new(vec![b.build()]);
-        let out = net.check_safety(|_| false, 1_000);
+        let out = net.check(Property::Safety { bad: |_| false }, 1_000);
         match out {
             CheckOutcome::Holds { states } => assert!(states <= 3, "states={states}"),
             other => panic!("{other:?}"),

@@ -5,8 +5,9 @@
 //!
 //! * [`automaton`] — timed automata with integer clocks, invariants and
 //!   channel synchronization.
-//! * [`checker`] — explicit-state reachability and bounded-response
-//!   model checking with shortest counterexample traces.
+//! * [`checker`] — explicit-state model checking of safety and
+//!   bounded-response [`Property`] values, with shortest
+//!   counterexample traces.
 //! * [`pack`] — the checker's packed-state exploration core: bit-packed
 //!   states interned in an arena, with deterministic layer-parallel
 //!   BFS.
@@ -53,7 +54,7 @@ pub mod timing;
 
 pub use assurance::build_assurance_case;
 pub use automaton::{Action, Automaton, ClockId, Guard, LocId};
-pub use checker::{CheckOutcome, Network, StateView, Step, Trace};
+pub use checker::{CheckOutcome, Network, Property, StateView, Step, Trace};
 pub use executor::{AutomatonExecutor, ExecEvent, NotEnabled};
 pub use gsn::{AssuranceCase, GsnIssue, NodeId, NodeKind};
 pub use hazard::{classify, Hazard, HazardLog, Likelihood, Mitigation, RiskClass, Severity};

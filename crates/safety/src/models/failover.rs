@@ -55,8 +55,8 @@
 //!   of the demoted ex-primary is the same protocol at epoch 3.
 
 use crate::automaton::{Action, Automaton, Guard};
-use crate::checker::{CheckOutcome, Network};
-use crate::pack::{ExploreMode, ExploreStats, Reduction};
+use crate::checker::{CheckOutcome, Network, Property};
+use crate::pack::{ExploreMode, Reduction};
 use crate::timing::{
     CHECKPOINT_SECS, HEARTBEAT_SECS, LOCAL_FAILSAFE_DEADLINE_SECS, PROMOTION_SILENCE_SECS,
 };
@@ -159,19 +159,39 @@ impl FailoverModelVariant {
         }
     }
 
-    /// The property checked for this variant, for reports.
-    pub fn property(&self) -> &'static str {
+    /// The property checked for this variant; a mutant is checked
+    /// against the property of the design it mutates.
+    pub fn property(&self) -> Property {
+        use FailoverModelVariant as V;
         match self {
-            FailoverModelVariant::Quiescent | FailoverModelVariant::NoStartupGrace => {
-                "no spurious promotion; pump stays epoch-1 armed"
+            // No spurious promotion; the pump stays epoch-1 armed.
+            V::Quiescent | V::NoStartupGrace => Property::Safety {
+                bad: |v| {
+                    v.in_location("standby", "Boost")
+                        || v.in_location("standby", "Active")
+                        || !v.in_location("pump", "Armed1")
+                },
+            },
+            // Primary death ⇒ the standby's epoch actuates the pump.
+            V::PrimaryCrash => Property::BoundedResponse {
+                p: |v| v.in_location("primary", "Crashed"),
+                q: |v| {
+                    v.in_location("pump", "Armed2")
+                        || v.in_location("pump", "Latched2")
+                        || v.in_location("pump", "Dual")
+                },
+                deadline: PROMOTION_BUDGET_SECS,
+            },
+            // The stale epoch is never applied after adoption.
+            V::SplitBrain | V::UnfencedPump => {
+                Property::Safety { bad: |v| v.in_location("pump", "Dual") }
             }
-            FailoverModelVariant::PrimaryCrash => "primary death => standby actuating in budget",
-            FailoverModelVariant::SplitBrain | FailoverModelVariant::UnfencedPump => {
-                "stale epoch never applied after adoption"
-            }
-            FailoverModelVariant::DualCrash | FailoverModelVariant::NoWatchdog => {
-                "supervision silence => basal-only in budget"
-            }
+            // Supervision silence ⇒ basal-only.
+            V::DualCrash | V::NoWatchdog => Property::BoundedResponse {
+                p: |v| v.in_location("primary", "Crashed") && v.in_location("standby", "Dead"),
+                q: |v| v.in_location("pump", "Latched1") || v.in_location("pump", "Latched2"),
+                deadline: BACKSTOP_BUDGET_SECS,
+            },
         }
     }
 
@@ -417,99 +437,12 @@ pub fn failover_model(variant: FailoverModelVariant) -> Network {
     Network::new(autos)
 }
 
-/// Checks the variant's property with explicit engine knobs, returning
-/// the outcome and exploration statistics.
-pub fn check_failover_variant_stats(
-    variant: FailoverModelVariant,
-    max_states: usize,
-    mode: ExploreMode,
-    reduction: Reduction,
-) -> (CheckOutcome, ExploreStats) {
-    use FailoverModelVariant as V;
-    let net = failover_model(variant);
-    match variant {
-        V::Quiescent | V::NoStartupGrace => net.check_safety_stats_reduced(
-            |v| {
-                v.in_location("standby", "Boost")
-                    || v.in_location("standby", "Active")
-                    || !v.in_location("pump", "Armed1")
-            },
-            max_states,
-            mode,
-            reduction,
-        ),
-        V::PrimaryCrash => net.check_bounded_response_stats_reduced(
-            |v| v.in_location("primary", "Crashed"),
-            |v| {
-                v.in_location("pump", "Armed2")
-                    || v.in_location("pump", "Latched2")
-                    || v.in_location("pump", "Dual")
-            },
-            PROMOTION_BUDGET_SECS,
-            max_states,
-            mode,
-            reduction,
-        ),
-        V::SplitBrain | V::UnfencedPump => net.check_safety_stats_reduced(
-            |v| v.in_location("pump", "Dual"),
-            max_states,
-            mode,
-            reduction,
-        ),
-        V::DualCrash | V::NoWatchdog => net.check_bounded_response_stats_reduced(
-            |v| v.in_location("primary", "Crashed") && v.in_location("standby", "Dead"),
-            |v| v.in_location("pump", "Latched1") || v.in_location("pump", "Latched2"),
-            BACKSTOP_BUDGET_SECS,
-            max_states,
-            mode,
-            reduction,
-        ),
-    }
-}
-
-/// Checks the variant's property with default engine knobs (automatic
-/// parallelism, clock-activity reduction on).
+/// Checks a variant's [`FailoverModelVariant::property`] on its model
+/// with automatic parallelism and the clock-activity reduction on.
 pub fn check_failover_variant(variant: FailoverModelVariant, max_states: usize) -> CheckOutcome {
-    check_failover_variant_stats(variant, max_states, ExploreMode::Auto, Reduction::ClockActive).0
-}
-
-/// The variant's property on the retained first-generation engine —
-/// the differential oracle for the packed-engine lockstep tests.
-pub fn check_failover_variant_reference(
-    variant: FailoverModelVariant,
-    max_states: usize,
-) -> CheckOutcome {
-    use FailoverModelVariant as V;
-    let net = failover_model(variant);
-    match variant {
-        V::Quiescent | V::NoStartupGrace => net.check_safety_reference(
-            |v| {
-                v.in_location("standby", "Boost")
-                    || v.in_location("standby", "Active")
-                    || !v.in_location("pump", "Armed1")
-            },
-            max_states,
-        ),
-        V::PrimaryCrash => net.check_bounded_response_reference(
-            |v| v.in_location("primary", "Crashed"),
-            |v| {
-                v.in_location("pump", "Armed2")
-                    || v.in_location("pump", "Latched2")
-                    || v.in_location("pump", "Dual")
-            },
-            PROMOTION_BUDGET_SECS,
-            max_states,
-        ),
-        V::SplitBrain | V::UnfencedPump => {
-            net.check_safety_reference(|v| v.in_location("pump", "Dual"), max_states)
-        }
-        V::DualCrash | V::NoWatchdog => net.check_bounded_response_reference(
-            |v| v.in_location("primary", "Crashed") && v.in_location("standby", "Dead"),
-            |v| v.in_location("pump", "Latched1") || v.in_location("pump", "Latched2"),
-            BACKSTOP_BUDGET_SECS,
-            max_states,
-        ),
-    }
+    failover_model(variant)
+        .check_with(variant.property(), max_states, ExploreMode::Auto, Reduction::ClockActive)
+        .0
 }
 
 #[cfg(test)]
@@ -574,10 +507,12 @@ mod tests {
         // worst-case clean failover really does overshoot the pump's
         // 15 s watchdog by one second — the documented transient latch.
         let net = failover_model(FailoverModelVariant::PrimaryCrash);
-        let (out, _) = net.check_bounded_response_stats_reduced(
-            |v| v.in_location("primary", "Crashed"),
-            |v| v.in_location("pump", "Armed2") || v.in_location("pump", "Latched2"),
-            PROMOTION_BUDGET_SECS - 1,
+        let (out, _) = net.check_with(
+            Property::BoundedResponse {
+                p: |v| v.in_location("primary", "Crashed"),
+                q: |v| v.in_location("pump", "Armed2") || v.in_location("pump", "Latched2"),
+                deadline: PROMOTION_BUDGET_SECS - 1,
+            },
             BUDGET,
             ExploreMode::Auto,
             Reduction::ClockActive,
@@ -591,10 +526,12 @@ mod tests {
     #[test]
     fn backstop_budget_is_sharp() {
         let net = failover_model(FailoverModelVariant::DualCrash);
-        let (out, _) = net.check_bounded_response_stats_reduced(
-            |v| v.in_location("primary", "Crashed") && v.in_location("standby", "Dead"),
-            |v| v.in_location("pump", "Latched1") || v.in_location("pump", "Latched2"),
-            BACKSTOP_BUDGET_SECS - 1,
+        let (out, _) = net.check_with(
+            Property::BoundedResponse {
+                p: |v| v.in_location("primary", "Crashed") && v.in_location("standby", "Dead"),
+                q: |v| v.in_location("pump", "Latched1") || v.in_location("pump", "Latched2"),
+                deadline: BACKSTOP_BUDGET_SECS - 1,
+            },
             BUDGET,
             ExploreMode::Auto,
             Reduction::ClockActive,

@@ -19,16 +19,12 @@
 //! constants, shared with the implementation via [`crate::timing`].
 
 use crate::automaton::{Action, Automaton, Guard, LocId};
-use crate::checker::Network;
-use crate::pack::{ExploreMode, ExploreStats};
+use crate::checker::{CheckOutcome, Network, Property};
 use serde::{Deserialize, Serialize};
 
 pub mod failover;
 
-pub use failover::{
-    check_failover_variant, check_failover_variant_reference, check_failover_variant_stats,
-    failover_model, FailoverModelVariant,
-};
+pub use failover::{check_failover_variant, failover_model, FailoverModelVariant};
 
 /// Detection latency bound of the monitor (time units).
 pub const DETECT_MAX: u32 = 2;
@@ -101,6 +97,16 @@ impl PcaModelVariant {
         match self {
             PcaModelVariant::TicketLossy => TICKET_DEADLINE,
             _ => COMMAND_DEADLINE,
+        }
+    }
+
+    /// The interlock property: *whenever the monitor has detected a
+    /// breach, the pump is stopped within [`Self::deadline`]*.
+    pub fn property(&self) -> Property {
+        Property::BoundedResponse {
+            p: |v| v.in_location("monitor", "Breached"),
+            q: |v| v.in_location("pump", "Stopped"),
+            deadline: self.deadline(),
         }
     }
 
@@ -309,54 +315,9 @@ pub fn pca_model(variant: PcaModelVariant) -> Network {
     }
 }
 
-/// Checks the interlock property of a variant: *whenever the monitor
-/// has detected a breach, the pump is stopped within the variant's
-/// deadline*. Returns the checker outcome.
-pub fn check_pca_variant(
-    variant: PcaModelVariant,
-    max_states: usize,
-) -> crate::checker::CheckOutcome {
-    let net = pca_model(variant);
-    net.check_bounded_response(
-        |v| v.in_location("monitor", "Breached"),
-        |v| v.in_location("pump", "Stopped"),
-        variant.deadline(),
-        max_states,
-    )
-}
-
-/// [`check_pca_variant`] with an explicit [`ExploreMode`], also
-/// returning the exploration statistics (states interned, arena bytes,
-/// BFS shape) for perf reporting.
-pub fn check_pca_variant_stats(
-    variant: PcaModelVariant,
-    max_states: usize,
-    mode: ExploreMode,
-) -> (crate::checker::CheckOutcome, ExploreStats) {
-    let net = pca_model(variant);
-    net.check_bounded_response_stats(
-        |v| v.in_location("monitor", "Breached"),
-        |v| v.in_location("pump", "Stopped"),
-        variant.deadline(),
-        max_states,
-        mode,
-    )
-}
-
-/// [`check_pca_variant`] on the retained first-generation engine —
-/// the differential oracle for conformance tests and before/after
-/// benchmarks.
-pub fn check_pca_variant_reference(
-    variant: PcaModelVariant,
-    max_states: usize,
-) -> crate::checker::CheckOutcome {
-    let net = pca_model(variant);
-    net.check_bounded_response_reference(
-        |v| v.in_location("monitor", "Breached"),
-        |v| v.in_location("pump", "Stopped"),
-        variant.deadline(),
-        max_states,
-    )
+/// Checks a variant's [`PcaModelVariant::property`] on its model.
+pub fn check_pca_variant(variant: PcaModelVariant, max_states: usize) -> CheckOutcome {
+    pca_model(variant).check(variant.property(), max_states)
 }
 
 /// A named location pair used by diagnostic tooling.

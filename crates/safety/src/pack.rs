@@ -23,8 +23,9 @@
 //!   order-preserving worker pool) and the discovered successors are
 //!   merged in worker-index order, so verdicts, counterexample traces
 //!   and state counts are bit-identical to the serial engine — proven
-//!   by differential tests against the retained reference
-//!   implementation ([`Network::check_safety_reference`]).
+//!   by differential tests against the retained reference engine
+//!   ([`Network::check_reference`]), which checks the very same
+//!   [`Property`] value through the same monitor.
 //!
 //! An optional **clock-activity reduction** ([`Reduction::ClockActive`])
 //! shrinks the explored space further by normalizing *inactive* clocks
@@ -35,7 +36,9 @@
 //! [`NetState`]: crate::checker::NetState
 
 use crate::automaton::{bits_for, Action, ClockId, Edge};
-use crate::checker::{CheckOutcome, MonitorVerdict, NetState, Network, StateView, Step, Trace};
+use crate::checker::{
+    CheckOutcome, MonitorVerdict, NetState, Network, Property, StateView, Step, Trace,
+};
 use fxhash::FxHashMap;
 use std::ops::ControlFlow;
 
@@ -188,10 +191,9 @@ pub struct PackedLayout {
 }
 
 impl PackedLayout {
-    /// Computes the layout for `net`. `pending_values` is the number of
-    /// distinct obligation encodings (1 for plain safety, deadline + 2
-    /// for bounded response: `None` plus ages `0..=deadline`).
-    pub(crate) fn new(net: &Network, pending_values: u64) -> Self {
+    /// Computes the layout for `net` with room for every obligation
+    /// encoding `prop` needs ([`Property::pending_values`]).
+    pub(crate) fn new(net: &Network, prop: Property) -> Self {
         let mut off = 0u32;
         let mut locs = Vec::new();
         let mut clocks = Vec::new();
@@ -206,7 +208,7 @@ impl PackedLayout {
                 off += bits;
             }
         }
-        let pending = Field { off, bits: bits_for(pending_values - 1) };
+        let pending = Field { off, bits: bits_for(prop.pending_values() - 1) };
         off += pending.bits;
         let words = (off as usize).div_ceil(64);
         PackedLayout { locs, clocks, clock_off, pending, words: words.max(1) }
@@ -532,9 +534,11 @@ struct CandBuf {
     bad: Option<(u32, CStep)>,
 }
 
-/// The packed exploration engine, built per check call.
+/// The packed exploration engine, built per
+/// [`Network::check_with`] call.
 pub(crate) struct Engine<'n> {
     net: &'n Network,
+    prop: Property,
     layout: PackedLayout,
     plan: Plan,
     /// Clock-activity table when [`Reduction::ClockActive`] is on and
@@ -543,17 +547,12 @@ pub(crate) struct Engine<'n> {
 }
 
 impl<'n> Engine<'n> {
-    pub(crate) fn new(net: &'n Network, pending_values: u64, reduction: Reduction) -> Self {
+    pub(crate) fn new(net: &'n Network, prop: Property, reduction: Reduction) -> Self {
         let activity = match reduction {
             Reduction::None => None,
             Reduction::ClockActive => ClockActivity::new(net),
         };
-        Engine {
-            net,
-            layout: PackedLayout::new(net, pending_values),
-            plan: Plan::new(net),
-            activity,
-        }
+        Engine { net, prop, layout: PackedLayout::new(net, prop), plan: Plan::new(net), activity }
     }
 
     fn initial_scratch(&self) -> Scratch {
@@ -759,17 +758,14 @@ impl<'n> Engine<'n> {
         Trace { steps }
     }
 
-    /// Explores the reachable state space breadth-first under
-    /// `monitor`, interning every distinct (state, obligation) pair.
-    pub(crate) fn explore<M>(
+    /// Explores the reachable state space breadth-first under the
+    /// property's monitor, interning every distinct (state, obligation)
+    /// pair.
+    pub(crate) fn explore(
         &self,
         max_states: usize,
         mode: ExploreMode,
-        monitor: &M,
-    ) -> (CheckOutcome, ExploreStats)
-    where
-        M: Fn(&StateView<'_>, Option<u32>) -> MonitorVerdict + Sync,
-    {
+    ) -> (CheckOutcome, ExploreStats) {
         let w = self.layout.words;
         let mut stats = ExploreStats {
             states: 1,
@@ -779,7 +775,7 @@ impl<'n> Engine<'n> {
             peak_layer: 0,
         };
         let init = self.initial_scratch();
-        let init_pending = match monitor(&self.flat_view(&init), None) {
+        let init_pending = match self.prop.monitor(&self.flat_view(&init), None) {
             MonitorVerdict::Bad => {
                 return (
                     CheckOutcome::Violated { trace: Trace { steps: vec![] }, states: 1 },
@@ -817,9 +813,9 @@ impl<'n> Engine<'n> {
             stats.layers += 1;
             stats.peak_layer = stats.peak_layer.max(search.frontier.len());
             let flow = if workers > 1 && search.frontier.len() >= par_min {
-                self.expand_parallel(&mut search, monitor, max_states, workers)
+                self.expand_parallel(&mut search, max_states, workers)
             } else {
-                self.expand_serial(&mut search, &mut bufs, monitor, max_states)
+                self.expand_serial(&mut search, &mut bufs, max_states)
             };
             stats.states = search.table.len();
             stats.arena_bytes = search.arena.bytes();
@@ -832,16 +828,12 @@ impl<'n> Engine<'n> {
         (CheckOutcome::Holds { states: search.table.len() }, stats)
     }
 
-    fn expand_serial<M>(
+    fn expand_serial(
         &self,
         search: &mut Search,
         bufs: &mut WorkBufs,
-        monitor: &M,
         max_states: usize,
-    ) -> ControlFlow<CheckOutcome>
-    where
-        M: Fn(&StateView<'_>, Option<u32>) -> MonitorVerdict + Sync,
-    {
+    ) -> ControlFlow<CheckOutcome> {
         let Search { table, arena, parents, frontier, next, word } = search;
         for &pid in frontier.iter() {
             let pending = self.layout.decode_flat(
@@ -854,7 +846,7 @@ impl<'n> Engine<'n> {
                     CStep::Delay => pending.map(|a| a + 1),
                     _ => pending,
                 };
-                match monitor(&self.flat_view(succ), aged) {
+                match self.prop.monitor(&self.flat_view(succ), aged) {
                     MonitorVerdict::Bad => ControlFlow::Break(CheckOutcome::Violated {
                         trace: self.reconstruct(parents, pid, step),
                         states: table.len(),
@@ -887,16 +879,12 @@ impl<'n> Engine<'n> {
     /// processes them in worker-index order, so interning order — and
     /// with it ids, verdicts, counts and traces — is identical to
     /// [`Self::expand_serial`].
-    fn expand_parallel<M>(
+    fn expand_parallel(
         &self,
         search: &mut Search,
-        monitor: &M,
         max_states: usize,
         workers: usize,
-    ) -> ControlFlow<CheckOutcome>
-    where
-        M: Fn(&StateView<'_>, Option<u32>) -> MonitorVerdict + Sync,
-    {
+    ) -> ControlFlow<CheckOutcome> {
         let w = self.layout.words;
         let Search { table, arena, parents, frontier, next, .. } = search;
         let chunk = frontier.len().div_ceil(workers);
@@ -917,7 +905,7 @@ impl<'n> Engine<'n> {
                         CStep::Delay => pending.map(|a| a + 1),
                         _ => pending,
                     };
-                    match monitor(&self.flat_view(succ), aged) {
+                    match self.prop.monitor(&self.flat_view(succ), aged) {
                         MonitorVerdict::Bad => {
                             out.bad = Some((pid, step));
                             ControlFlow::Break(())
@@ -1013,7 +1001,11 @@ mod tests {
     #[test]
     fn layout_roundtrips_reachable_states() {
         let net = two_automata_net();
-        let layout = net.packed_layout(Some(7));
+        let layout = net.packed_layout(Property::BoundedResponse {
+            p: |_| false,
+            q: |_| false,
+            deadline: 7,
+        });
         let mut stack = vec![net.initial_state()];
         let mut seen = 0;
         while let Some(s) = stack.pop() {
@@ -1037,7 +1029,7 @@ mod tests {
     #[test]
     fn layout_is_compact() {
         let net = two_automata_net();
-        let layout = net.packed_layout(None);
+        let layout = net.packed_layout(Property::Safety { bad: |_| false });
         // 2 one-bit locations (a has 2 locs, b has 1 -> 0 bits), clocks
         // with ceilings 10 and 4 -> 4 + 3 bits, no pending.
         assert!(layout.bits_per_state() <= 10, "bits = {}", layout.bits_per_state());

@@ -2,8 +2,8 @@
 //! timed-automata networks.
 
 use mcps_safety::automaton::{Action, Automaton, Guard, LocId};
-use mcps_safety::checker::{CheckOutcome, Network};
-use mcps_safety::pack::ExploreMode;
+use mcps_safety::checker::{CheckOutcome, Network, Pred, Property};
+use mcps_safety::pack::{ExploreMode, Reduction};
 use proptest::prelude::*;
 
 /// Strategy: a random automaton with `n_locs` locations, one clock,
@@ -94,15 +94,16 @@ proptest! {
     /// (or hits its budget) and never fabricates a violation.
     #[test]
     fn no_false_violations(net in arb_network()) {
-        let out = net.check_safety(|_| false, 200_000);
+        let out = net.check(Property::Safety { bad: |_| false }, 200_000);
         prop_assert!(!matches!(out, CheckOutcome::Violated { .. }), "{out:?}");
     }
 
     /// The checker is deterministic: two runs agree exactly.
     #[test]
     fn checker_is_deterministic(net in arb_network()) {
-        let a = net.check_safety(|v| v.in_location("a0", "L1"), 200_000);
-        let b = net.check_safety(|v| v.in_location("a0", "L1"), 200_000);
+        let bad: Pred = |v| v.in_location("a0", "L1");
+        let a = net.check(Property::Safety { bad }, 200_000);
+        let b = net.check(Property::Safety { bad }, 200_000);
         prop_assert_eq!(a, b);
     }
 
@@ -110,8 +111,8 @@ proptest! {
     /// behaviour of the network, and its final state is actually bad.
     #[test]
     fn counterexamples_replay(net in arb_network()) {
-        let bad = |v: &mcps_safety::checker::StateView<'_>| v.in_location("a0", "L1");
-        if let CheckOutcome::Violated { trace, .. } = net.check_safety(bad, 200_000) {
+        let bad: Pred = |v| v.in_location("a0", "L1");
+        if let CheckOutcome::Violated { trace, .. } = net.check(Property::Safety { bad }, 200_000) {
             let end = net.replay(&trace).expect("trace must be executable");
             prop_assert!(bad(&net.view(&end)), "replayed end state is not bad");
         }
@@ -122,9 +123,9 @@ proptest! {
     /// found with a larger one (and with the same shortest length).
     #[test]
     fn violations_stable_under_bigger_budget(net in arb_network()) {
-        let bad = |v: &mcps_safety::checker::StateView<'_>| v.in_location("a0", "L1");
-        if let CheckOutcome::Violated { trace, .. } = net.check_safety(bad, 50_000) {
-            match net.check_safety(bad, 500_000) {
+        let bad: Pred = |v| v.in_location("a0", "L1");
+        if let CheckOutcome::Violated { trace, .. } = net.check(Property::Safety { bad }, 50_000) {
+            match net.check(Property::Safety { bad }, 500_000) {
                 CheckOutcome::Violated { trace: bigger, .. } => {
                     prop_assert_eq!(trace.steps.len(), bigger.steps.len());
                 }
@@ -137,7 +138,8 @@ proptest! {
     /// for every obligation age the layout admits.
     #[test]
     fn packed_encoding_roundtrips(net in arb_sync_network(), deadline in 0u32..7) {
-        let layout = net.packed_layout(Some(deadline));
+        let prop = Property::BoundedResponse { p: |_| false, q: |_| false, deadline };
+        let layout = net.packed_layout(prop);
         let mut frontier = vec![net.initial_state()];
         let mut seen = 0usize;
         while let Some(s) = frontier.pop() {
@@ -163,11 +165,11 @@ proptest! {
     /// for plain safety checks on rendezvous-heavy random networks.
     #[test]
     fn packed_safety_matches_reference(net in arb_sync_network()) {
-        let bad = |v: &mcps_safety::checker::StateView<'_>| v.in_location("a0", "L1");
-        let reference = net.check_safety_reference(bad, 100_000);
-        let packed = net.check_safety_in(bad, 100_000, ExploreMode::Serial);
+        let prop = Property::Safety { bad: |v| v.in_location("a0", "L1") };
+        let reference = net.check_reference(prop, 100_000);
+        let packed = net.check_with(prop, 100_000, ExploreMode::Serial, Reduction::None).0;
         prop_assert_eq!(&reference, &packed);
-        let parallel = net.check_safety_in(bad, 100_000, ExploreMode::Parallel);
+        let parallel = net.check_with(prop, 100_000, ExploreMode::Parallel, Reduction::None).0;
         prop_assert_eq!(&reference, &parallel);
     }
 
@@ -175,12 +177,15 @@ proptest! {
     /// the packed state.
     #[test]
     fn packed_bounded_response_matches_reference(net in arb_sync_network(), d in 0u32..5) {
-        let p = |v: &mcps_safety::checker::StateView<'_>| v.in_location("a0", "L0");
-        let q = |v: &mcps_safety::checker::StateView<'_>| v.in_location("a1", "L1");
-        let reference = net.check_bounded_response_reference(p, q, d, 100_000);
-        let packed = net.check_bounded_response_in(p, q, d, 100_000, ExploreMode::Serial);
+        let prop = Property::BoundedResponse {
+            p: |v| v.in_location("a0", "L0"),
+            q: |v| v.in_location("a1", "L1"),
+            deadline: d,
+        };
+        let reference = net.check_reference(prop, 100_000);
+        let packed = net.check_with(prop, 100_000, ExploreMode::Serial, Reduction::None).0;
         prop_assert_eq!(&reference, &packed);
-        let parallel = net.check_bounded_response_in(p, q, d, 100_000, ExploreMode::Parallel);
+        let parallel = net.check_with(prop, 100_000, ExploreMode::Parallel, Reduction::None).0;
         prop_assert_eq!(&reference, &parallel);
     }
 
@@ -189,10 +194,11 @@ proptest! {
     /// states before giving up.
     #[test]
     fn packed_exhaustion_matches_reference(net in arb_sync_network(), budget in 1usize..40) {
-        let reference = net.check_safety_reference(|_| false, budget);
-        let packed = net.check_safety_in(|_| false, budget, ExploreMode::Serial);
+        let prop = Property::Safety { bad: |_| false };
+        let reference = net.check_reference(prop, budget);
+        let packed = net.check_with(prop, budget, ExploreMode::Serial, Reduction::None).0;
         prop_assert_eq!(&reference, &packed);
-        let parallel = net.check_safety_in(|_| false, budget, ExploreMode::Parallel);
+        let parallel = net.check_with(prop, budget, ExploreMode::Parallel, Reduction::None).0;
         prop_assert_eq!(&reference, &parallel);
     }
 
@@ -203,11 +209,11 @@ proptest! {
     /// small deadline also holds at any larger one.
     #[test]
     fn bounded_response_monotone_in_deadline(net in arb_network(), d in 0u32..6) {
-        let p = |v: &mcps_safety::checker::StateView<'_>| v.in_location("a0", "L0");
-        let q = |v: &mcps_safety::checker::StateView<'_>| v.in_location("a0", "L1");
-        let small = net.check_bounded_response(p, q, d, 300_000);
+        let p: Pred = |v| v.in_location("a0", "L0");
+        let q: Pred = |v| v.in_location("a0", "L1");
+        let small = net.check(Property::BoundedResponse { p, q, deadline: d }, 300_000);
         if small.holds() {
-            let big = net.check_bounded_response(p, q, d + 3, 300_000);
+            let big = net.check(Property::BoundedResponse { p, q, deadline: d + 3 }, 300_000);
             prop_assert!(
                 !matches!(big, CheckOutcome::Violated { .. }),
                 "holds at {d} but violated at {}: {:?}",

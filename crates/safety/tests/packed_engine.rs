@@ -6,10 +6,7 @@
 //! clock-activity reduction must preserve every verdict while shrinking
 //! the explored space.
 
-use mcps_safety::models::{
-    check_failover_variant_reference, check_failover_variant_stats, check_pca_variant_reference,
-    check_pca_variant_stats, failover_model, pca_model, FailoverModelVariant, PcaModelVariant,
-};
+use mcps_safety::models::{failover_model, pca_model, FailoverModelVariant, PcaModelVariant};
 use mcps_safety::pack::{ExploreMode, Reduction};
 use mcps_safety::CheckOutcome;
 
@@ -35,9 +32,10 @@ fn lockstep_variants() -> Vec<FailoverModelVariant> {
 #[test]
 fn e5_variants_match_reference_in_all_modes() {
     for variant in PcaModelVariant::ALL {
-        let reference = check_pca_variant_reference(variant, BUDGET);
+        let reference = pca_model(variant).check_reference(variant.property(), BUDGET);
         for mode in [ExploreMode::Serial, ExploreMode::Parallel, ExploreMode::Auto] {
-            let (packed, stats) = check_pca_variant_stats(variant, BUDGET, mode);
+            let (packed, stats) =
+                pca_model(variant).check_with(variant.property(), BUDGET, mode, Reduction::None);
             assert_eq!(
                 reference, packed,
                 "{variant:?} in {mode:?} diverged from the reference engine"
@@ -57,7 +55,12 @@ fn e5_variants_match_reference_in_all_modes() {
 #[test]
 fn e5_mutant_counterexamples_replay() {
     for variant in PcaModelVariant::ALL.into_iter().filter(|v| !v.expected_safe()) {
-        let (out, _) = check_pca_variant_stats(variant, BUDGET, ExploreMode::Auto);
+        let (out, _) = pca_model(variant).check_with(
+            variant.property(),
+            BUDGET,
+            ExploreMode::Auto,
+            Reduction::None,
+        );
         let trace = out.trace().unwrap_or_else(|| panic!("{variant:?} should be violated"));
         let net = pca_model(variant);
         assert!(net.replay(trace).is_some(), "{variant:?}: counterexample does not replay");
@@ -72,15 +75,7 @@ fn serial_and_parallel_bit_identical_under_exhaustion() {
     for variant in PcaModelVariant::ALL {
         for budget in [100, 5_000, 100_000] {
             let net = pca_model(variant);
-            let check = |mode| {
-                net.check_bounded_response_in(
-                    |v| v.in_location("monitor", "Breached"),
-                    |v| v.in_location("pump", "Stopped"),
-                    variant.deadline(),
-                    budget,
-                    mode,
-                )
-            };
+            let check = |mode| net.check_with(variant.property(), budget, mode, Reduction::None).0;
             let serial = check(ExploreMode::Serial);
             let parallel = check(ExploreMode::Parallel);
             assert_eq!(serial, parallel, "{variant:?} budget {budget}: modes diverged");
@@ -94,10 +89,15 @@ fn serial_and_parallel_bit_identical_under_exhaustion() {
 #[test]
 fn failover_variants_match_reference_in_all_modes() {
     for variant in lockstep_variants() {
-        let reference = check_failover_variant_reference(variant, FAILOVER_BUDGET);
+        let reference =
+            failover_model(variant).check_reference(variant.property(), FAILOVER_BUDGET);
         for mode in [ExploreMode::Serial, ExploreMode::Parallel, ExploreMode::Auto] {
-            let (packed, stats) =
-                check_failover_variant_stats(variant, FAILOVER_BUDGET, mode, Reduction::None);
+            let (packed, stats) = failover_model(variant).check_with(
+                variant.property(),
+                FAILOVER_BUDGET,
+                mode,
+                Reduction::None,
+            );
             assert_eq!(
                 reference, packed,
                 "{variant:?} in {mode:?} diverged from the reference engine"
@@ -115,14 +115,14 @@ fn failover_variants_match_reference_in_all_modes() {
 #[test]
 fn failover_reduction_preserves_verdicts_and_shrinks_the_space() {
     for variant in lockstep_variants() {
-        let (full, full_stats) = check_failover_variant_stats(
-            variant,
+        let (full, full_stats) = failover_model(variant).check_with(
+            variant.property(),
             FAILOVER_BUDGET,
             ExploreMode::Auto,
             Reduction::None,
         );
-        let (red, red_stats) = check_failover_variant_stats(
-            variant,
+        let (red, red_stats) = failover_model(variant).check_with(
+            variant.property(),
             FAILOVER_BUDGET,
             ExploreMode::Auto,
             Reduction::ClockActive,
@@ -151,14 +151,14 @@ fn failover_reduction_preserves_verdicts_and_shrinks_the_space() {
 fn failover_reduction_modes_agree_under_exhaustion() {
     for variant in [FailoverModelVariant::PrimaryCrash, FailoverModelVariant::UnfencedPump] {
         for budget in [100, 5_000, 100_000] {
-            let serial = check_failover_variant_stats(
-                variant,
+            let serial = failover_model(variant).check_with(
+                variant.property(),
                 budget,
                 ExploreMode::Serial,
                 Reduction::ClockActive,
             );
-            let parallel = check_failover_variant_stats(
-                variant,
+            let parallel = failover_model(variant).check_with(
+                variant.property(),
                 budget,
                 ExploreMode::Parallel,
                 Reduction::ClockActive,
@@ -174,7 +174,12 @@ fn failover_reduction_modes_agree_under_exhaustion() {
 #[test]
 fn verdicts_and_state_counts_are_stable() {
     for variant in PcaModelVariant::ALL {
-        let (out, stats) = check_pca_variant_stats(variant, BUDGET, ExploreMode::Auto);
+        let (out, stats) = pca_model(variant).check_with(
+            variant.property(),
+            BUDGET,
+            ExploreMode::Auto,
+            Reduction::None,
+        );
         assert_eq!(out.holds(), variant.expected_safe(), "{variant:?}: verdict flipped ({out:?})");
         match out {
             CheckOutcome::Holds { states } | CheckOutcome::Violated { states, .. } => {

@@ -39,7 +39,7 @@
 //! epoch and its latches intact (see [`crate::journal`]).
 
 use crate::clock::ServeClock;
-use crate::journal::Journal;
+use crate::journal::{Fingerprint, Journal};
 use crate::transport::{Transport, TransportError};
 use mcps_core::msg::{NetAddress, NetOp, NetPayload};
 use mcps_core::{CoreInput, CoreOutputs, SupervisorCore};
@@ -127,7 +127,7 @@ pub struct ServeHost<T: Transport> {
     stats: ServeStats,
     journal: Option<Journal>,
     /// Fencing fingerprint of the last journaled checkpoint.
-    journal_fp: Option<(u64, u64, bool, bool)>,
+    journal_fp: Option<Fingerprint>,
     closed: bool,
 }
 
@@ -420,7 +420,7 @@ impl<T: Transport> ServeHost<T> {
     fn journal_tick(&mut self) {
         let Some(journal) = self.journal.as_mut() else { return };
         let state = self.core.checkpoint_state();
-        let fp = (state.epoch, state.next_command_id, state.degraded, state.stop_unconfirmed);
+        let fp = Fingerprint::of(&state);
         if self.journal_fp == Some(fp) {
             return;
         }
@@ -469,6 +469,25 @@ mod tests {
             server,
             ServeConfig { ingress_capacity: capacity, ..Default::default() },
         )
+    }
+
+    /// The journal policy: the first poll appends the checkpoint, and
+    /// polls that leave the fencing fingerprint unchanged append
+    /// nothing more.
+    #[test]
+    fn idle_polls_journal_the_checkpoint_once() {
+        let dir = std::env::temp_dir().join(format!("mcps-host-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (journal, _) = Journal::open(&dir.join("ckpt")).unwrap();
+        let mut host = host_with_capacity(8);
+        host.attach_journal(journal);
+        for _ in 0..5 {
+            assert!(host.poll());
+            assert_eq!(host.journal().unwrap().appended(), 1);
+        }
+        assert_eq!(host.stats().journal_errors, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -140,10 +140,11 @@ fn replay_segment(bytes: &[u8]) -> (Vec<CheckpointState>, bool, bool) {
     (records, torn, corrupt)
 }
 
-/// The fields whose change makes a record epoch-bearing (must be
-/// durable before the supervisor acts on the new value).
+/// The fencing state: the fields whose change makes a record
+/// epoch-bearing (must be durable before the supervisor acts on the new
+/// value). The host journals a checkpoint only when it changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fingerprint {
+pub(crate) struct Fingerprint {
     epoch: u64,
     next_command_id: u64,
     degraded: bool,
@@ -151,7 +152,7 @@ struct Fingerprint {
 }
 
 impl Fingerprint {
-    fn of(state: &CheckpointState) -> Self {
+    pub(crate) fn of(state: &CheckpointState) -> Self {
         Self {
             epoch: state.epoch,
             next_command_id: state.next_command_id,

@@ -10,7 +10,6 @@
 //!
 //! Every run is deterministic in `--seed`.
 
-use mcps::control::interlock::InterlockConfig;
 use mcps::core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
 use mcps::core::scenarios::ward::{run_ward_scenario, WardConfig};
 use mcps::core::scenarios::xray::{run_xray_scenario, XRayScenarioConfig};
@@ -107,7 +106,6 @@ fn cmd_pca(cli: &Cli) {
     if cli.flag("csv") {
         cfg.timeline_every_secs = cli.u64("every", 10);
     }
-    let _ = InterlockConfig::default(); // keep the type in scope for docs
     let out = run_pca_scenario(&cfg);
     if cli.flag("csv") {
         println!("t_secs,spo2,effect_site_mg_per_l,pain");
