@@ -14,6 +14,10 @@
 #      reference}) or the removed MetricsHub: properties are stated once
 #      as a Property and checked via Network::check / check_with /
 #      check_reference
+#   1d. one PCA bed                             — no .rs file may name the
+#      removed tests-only sharded multibed API (run_multibed_sharded,
+#      multibed_shard_configs): the campus is the sharded ward, and
+#      both build their PCA closed loops through scenarios::PcaBed
 #   2. cargo clippy --workspace -D warnings     — lints, all targets
 #   2a. cargo doc --workspace --no-deps         — rustdoc with -D warnings:
 #      no broken, private or ambiguous intra-doc links
@@ -27,8 +31,10 @@
 #   5b. scheduler golden pins                   — the fabric_golden
 #      baseline hashes must be the pre-wheel constants (the wheel must
 #      reproduce them, never re-record them), and the pinned test passes;
-#      then the pump lockstep: the sim PumpActor adapter and a bed-style
-#      PumpCore driver agree send-for-send on seeded command programs
+#      likewise the small-campus pin in scenarios/campus.rs, whose
+#      tests then run in release; then the pump lockstep: the sim
+#      PumpActor adapter and a bed-style PumpCore driver agree
+#      send-for-send on seeded command programs
 #   5c. runtime scheduler smoke budget          — bench_runtime --quick
 #      fails if wheel/heap pop streams diverge, if the steady-state
 #      dispatch path allocates, or past its wall-clock ceiling
@@ -86,6 +92,12 @@ if git grep -nE 'check_(safety|bounded_response)|check_(pca|failover)_variant_(s
     exit 1
 fi
 
+echo "== one PCA bed (no tests-only sharded multibed API) =="
+if git grep -nE 'run_multibed_sharded|multibed_shard_configs' -- '*.rs'; then
+    echo "the campus is the sharded ward; build PCA closed loops through scenarios::PcaBed"
+    exit 1
+fi
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -113,6 +125,9 @@ grep -q "0x4d92_0ea0_52ae_358b" tests/fabric_golden.rs \
 grep -q "0x8af6_1fb4_7ea4_288a" tests/fabric_golden.rs \
     || { echo "multibed golden hash pin was altered"; exit 1; }
 cargo test -q --release --test fabric_golden
+grep -q "0x6a58_c3b8_7bec_1a2c" crates/core/src/scenarios/campus.rs \
+    || { echo "small campus golden hash pin was altered"; exit 1; }
+cargo test -q -p mcps-core --release --lib scenarios::campus
 cargo test -q -p mcps-core --release --test pump_core
 
 echo "== runtime scheduler smoke budget =="

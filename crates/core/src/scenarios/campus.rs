@@ -6,9 +6,10 @@
 //! switch carries the floor's traffic and nothing else. Bed mixes are
 //! heterogeneous:
 //!
-//! * **PCA beds** — the full closed loop from the multibed scenario
-//!   (pump, 1 Hz oximeter + capnograph, [`PcaSafetyApp`] supervisor,
-//!   1 s physiology). ICU wards carry many; general wards a few.
+//! * **PCA beds** — the scoped closed loop the multibed scenario also
+//!   runs, assembled by the crate-private `PcaBed` (pump, 1 Hz
+//!   oximeter + capnograph, [`PcaSafetyApp`] supervisor, 1 s
+//!   physiology). ICU wards carry many; general wards a few.
 //! * **Monitor-only beds** — a spot-check oximeter at tens-of-seconds
 //!   cadence feeding a [`WardMonitorApp`] supervisor, with physiology
 //!   and supervision stepped at matching slow cadences. The vast
@@ -26,10 +27,8 @@
 //! times a general ward, which is exactly the imbalance sorted-by-cost
 //! dispatch exists to absorb.
 
-use mcps_control::interlock::InterlockConfig;
 use mcps_device::faults::{FaultKind, FaultPlan};
-use mcps_device::monitor::{capnograph, pulse_oximeter, ChannelConfig, VitalsMonitor};
-use mcps_device::pump::{PcaPump, PcaPumpConfig};
+use mcps_device::monitor::{ChannelConfig, VitalsMonitor};
 use mcps_device::ventilator::{Ventilator, VentilatorConfig};
 use mcps_device::xray::{XRayConfig, XRayMachine};
 use mcps_net::fabric::Fabric;
@@ -43,7 +42,8 @@ use mcps_runtime::shard::{run_shards_costed_in, ShardStats};
 use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::actors::{MonitorActor, PumpActor, VentilatorActor, XRayActor};
+use super::PcaBed;
+use crate::actors::{MonitorActor, VentilatorActor, XRayActor};
 use crate::apps::{PcaSafetyApp, WardMonitorApp, WorkflowStyle, XRayCoordinatorApp};
 use crate::body::{PatientActor, PatientBody};
 use crate::msg::IceMsg;
@@ -243,13 +243,7 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
 
     // Endpoints first (fabric wiring), then actors.
     enum Wiring {
-        Pca {
-            scope: String,
-            ep_ox: mcps_net::fabric::EndpointId,
-            ep_cap: mcps_net::fabric::EndpointId,
-            ep_pump: mcps_net::fabric::EndpointId,
-            ep_sup: mcps_net::fabric::EndpointId,
-        },
+        Pca(PcaBed),
         Monitor {
             scope: String,
             ep_mon: mcps_net::fabric::EndpointId,
@@ -260,15 +254,7 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
     for bed in 0..beds {
         let scope = format!("w{}b{bed}", plan.ward);
         if bed < plan.pca_beds {
-            let ep_ox = fabric.add_endpoint(&format!("{scope}/oximeter"));
-            let ep_cap = fabric.add_endpoint(&format!("{scope}/capnograph"));
-            let ep_pump = fabric.add_endpoint(&format!("{scope}/pump"));
-            let ep_sup = fabric.add_endpoint(&format!("{scope}/supervisor"));
-            fabric.subscribe(ep_sup, topics::announce_scoped(&scope));
-            for kind in VitalKind::ALL {
-                fabric.subscribe(ep_sup, topics::vitals_scoped(&scope, kind));
-            }
-            wiring.push(Wiring::Pca { scope, ep_ox, ep_cap, ep_pump, ep_sup });
+            wiring.push(Wiring::Pca(PcaBed::wire(&mut fabric, scope)));
         } else {
             let ep_mon = fabric.add_endpoint(&format!("{scope}/monitor"));
             let ep_sup = fabric.add_endpoint(&format!("{scope}/supervisor"));
@@ -297,64 +283,9 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
         let admit_ms = bed_seed % window_ms;
         let body = PatientBody::new(VirtualPatient::new(cohort.params(u64::from(bed_u))));
         match wires {
-            Wiring::Pca { scope, ep_ox, ep_cap, ep_pump, ep_sup } => {
-                let pump_cfg = PcaPumpConfig { ticket_mode: true, ..PcaPumpConfig::default() };
-                let pump_id = sim.add_actor(
-                    &format!("{scope}/pump"),
-                    PumpActor::new(PcaPump::new(pump_cfg), body.clone(), nc_id, ep_pump)
-                        .with_scope(&scope),
-                );
-                let ox_id = sim.add_actor(
-                    &format!("{scope}/oximeter"),
-                    MonitorActor::new(
-                        pulse_oximeter(&format!("OX-{}-{bed}", plan.ward)),
-                        body.clone(),
-                        nc_id,
-                        ep_ox,
-                        FaultPlan::none(),
-                    )
-                    .with_scope(&scope),
-                );
-                let cap_id = sim.add_actor(
-                    &format!("{scope}/capnograph"),
-                    MonitorActor::new(
-                        capnograph(&format!("CAP-{}-{bed}", plan.ward)),
-                        body.clone(),
-                        nc_id,
-                        ep_cap,
-                        FaultPlan::none(),
-                    )
-                    .with_scope(&scope),
-                );
-                let patient_id = sim.add_actor(
-                    &format!("{scope}/patient"),
-                    PatientActor::new(body.clone(), Some(pump_id), 0.0),
-                );
-                let sup_id = sim.add_actor(
-                    &format!("{scope}/supervisor"),
-                    Supervisor::new(
-                        PcaSafetyApp::new(InterlockConfig::default()),
-                        nc_id,
-                        ep_sup,
-                        SimDuration::from_secs(2),
-                    ),
-                );
-                {
-                    let nc = sim.actor_as_mut::<NetworkController>(nc_id).unwrap();
-                    nc.bind(ep_ox, ox_id);
-                    nc.bind(ep_cap, cap_id);
-                    nc.bind(ep_pump, pump_id);
-                    nc.bind(ep_sup, sup_id);
-                }
-                for &(id, off) in &[
-                    (pump_id, 100u64),
-                    (ox_id, 200),
-                    (cap_id, 300),
-                    (patient_id, 0),
-                    (sup_id, 500),
-                ] {
-                    sim.schedule(SimTime::from_millis(admit_ms + off), id, IceMsg::Tick);
-                }
+            Wiring::Pca(pca) => {
+                let tag = format!("{}-{bed}", plan.ward);
+                let (_, sup_id) = pca.spawn(&mut sim, nc_id, &body, &tag, 0.0, admit_ms);
                 bed_refs.push(BedRefs { sup_id, discharged: false });
             }
             Wiring::Monitor { scope, ep_mon, ep_sup } => {
@@ -568,6 +499,33 @@ mod tests {
         let no_proc = CampusConfig { procedure_rooms: false, ..cfg };
         let bare = campus_ward_plans(&no_proc);
         assert!(bare[0].cost(&no_proc) > 2 * bare[1].cost(&no_proc), "{bare:?}");
+    }
+
+    /// FNV-1a 64-bit, the same hash `tests/fabric_golden.rs` pins with.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Baseline of the small campus's serialized outcomes, recorded
+    /// before the PCA bed assembly moved into `PcaBed`. Refactors of
+    /// the ward build must reproduce it, never re-record it.
+    const SMALL_CAMPUS_HASH: u64 = 0x6a58_c3b8_7bec_1a2c;
+    const SMALL_CAMPUS_LEN: usize = 534;
+
+    #[test]
+    fn small_campus_output_is_pinned() {
+        let json = serde_json::to_string(&run_campus(&small(), 1).0).unwrap();
+        let (hash, len) = (fnv1a(json.as_bytes()), json.len());
+        assert_eq!(
+            (hash, len),
+            (SMALL_CAMPUS_HASH, SMALL_CAMPUS_LEN),
+            "small campus output drifted from its baseline (got hash {hash:#018x}, len {len})"
+        );
     }
 
     #[test]

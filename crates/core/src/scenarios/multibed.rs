@@ -9,23 +9,20 @@
 //! fabric and verifies there is no cross-bed interference: bed A's
 //! overdose must stop bed A's pump and nobody else's.
 
-use mcps_control::interlock::InterlockConfig;
-use mcps_device::monitor::{capnograph, pulse_oximeter};
-use mcps_device::pump::{PcaPump, PcaPumpConfig};
 use mcps_net::fabric::Fabric;
 use mcps_net::qos::LinkQos;
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
 use mcps_patient::patient::{PatientOutcome, VirtualPatient};
-use mcps_patient::vitals::VitalKind;
 use mcps_runtime::kernel::Simulation;
 use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::actors::{MonitorActor, PumpActor};
+use super::PcaBed;
+use crate::actors::PumpActor;
 use crate::apps::PcaSafetyApp;
-use crate::body::{PatientActor, PatientBody};
+use crate::body::PatientBody;
 use crate::msg::IceMsg;
-use crate::netctl::{topics, NetworkController};
+use crate::netctl::NetworkController;
 use crate::supervisor::Supervisor;
 
 /// Configuration of the shared-fabric ward.
@@ -96,78 +93,16 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
     }
 
     // Endpoints first (fabric wiring), then actors.
-    let mut endpoint_sets = Vec::new();
-    for bed in 0..config.beds {
-        let scope = format!("bed{bed}");
-        let ep_ox = fabric.add_endpoint(&format!("{scope}/oximeter"));
-        let ep_cap = fabric.add_endpoint(&format!("{scope}/capnograph"));
-        let ep_pump = fabric.add_endpoint(&format!("{scope}/pump"));
-        let ep_sup = fabric.add_endpoint(&format!("{scope}/supervisor"));
-        fabric.subscribe(ep_sup, topics::announce_scoped(&scope));
-        for kind in VitalKind::ALL {
-            fabric.subscribe(ep_sup, topics::vitals_scoped(&scope, kind));
-        }
-        endpoint_sets.push((scope, ep_ox, ep_cap, ep_pump, ep_sup));
-    }
+    let wired: Vec<PcaBed> =
+        (0..config.beds).map(|bed| PcaBed::wire(&mut fabric, format!("bed{bed}"))).collect();
 
     let nc_id = sim.add_actor("netctl", NetworkController::new(fabric));
     let mut beds = Vec::new();
-    for (bed, (scope, ep_ox, ep_cap, ep_pump, ep_sup)) in endpoint_sets.into_iter().enumerate() {
-        let bed_u = bed as u32;
-        let body = PatientBody::new(VirtualPatient::new(cohort.params(u64::from(bed_u))));
-        let pump_cfg = PcaPumpConfig { ticket_mode: true, ..PcaPumpConfig::default() };
-        let pump_id = sim.add_actor(
-            &format!("{scope}/pump"),
-            PumpActor::new(PcaPump::new(pump_cfg), body.clone(), nc_id, ep_pump).with_scope(&scope),
-        );
-        let ox_id = sim.add_actor(
-            &format!("{scope}/oximeter"),
-            MonitorActor::new(
-                pulse_oximeter(&format!("OX-{bed}")),
-                body.clone(),
-                nc_id,
-                ep_ox,
-                mcps_device::faults::FaultPlan::none(),
-            )
-            .with_scope(&scope),
-        );
-        let cap_id = sim.add_actor(
-            &format!("{scope}/capnograph"),
-            MonitorActor::new(
-                capnograph(&format!("CAP-{bed}")),
-                body.clone(),
-                nc_id,
-                ep_cap,
-                mcps_device::faults::FaultPlan::none(),
-            )
-            .with_scope(&scope),
-        );
-        let proxy = if bed_u == 0 { config.bed0_proxy_rate_per_hour } else { 0.0 };
-        let patient_id = sim.add_actor(
-            &format!("{scope}/patient"),
-            PatientActor::new(body.clone(), Some(pump_id), proxy),
-        );
-        let sup_id = sim.add_actor(
-            &format!("{scope}/supervisor"),
-            Supervisor::new(
-                PcaSafetyApp::new(InterlockConfig::default()),
-                nc_id,
-                ep_sup,
-                SimDuration::from_secs(2),
-            ),
-        );
-        {
-            let nc = sim.actor_as_mut::<NetworkController>(nc_id).unwrap();
-            nc.bind(ep_ox, ox_id);
-            nc.bind(ep_cap, cap_id);
-            nc.bind(ep_pump, pump_id);
-            nc.bind(ep_sup, sup_id);
-        }
-        for &(id, off) in
-            &[(pump_id, 100u64), (ox_id, 200), (cap_id, 300), (patient_id, 0), (sup_id, 500)]
-        {
-            sim.schedule(SimTime::from_millis(off + bed as u64 * 7), id, IceMsg::Tick);
-        }
+    for (bed, pca) in wired.into_iter().enumerate() {
+        let body = PatientBody::new(VirtualPatient::new(cohort.params(bed as u64)));
+        let proxy = if bed == 0 { config.bed0_proxy_rate_per_hour } else { 0.0 };
+        let (pump_id, sup_id) =
+            pca.spawn(&mut sim, nc_id, &body, &bed.to_string(), proxy, bed as u64 * 7);
         beds.push(Bed { body, pump_id, sup_id });
     }
 
@@ -195,71 +130,6 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
             }
         })
         .collect()
-}
-
-/// Splits a ward into per-shard configurations for
-/// [`run_multibed_sharded`].
-///
-/// Each entry is `(bed_offset, config)`: the shard simulates
-/// `config.beds` beds on its **own** fabric, and its outcomes are
-/// renumbered by `bed_offset` when merged. Seeds are isolated per
-/// shard (splitmix-style mix of the master seed and the shard index)
-/// so no RNG stream is shared across shards — the first of the three
-/// determinism rules `run_shards` relies on. The bed-0 proxy hazard
-/// stays with the shard that owns global bed 0.
-pub fn multibed_shard_configs(config: &MultiBedConfig, shards: u32) -> Vec<(u32, MultiBedConfig)> {
-    let shards = shards.clamp(1, config.beds.max(1));
-    let base = config.beds / shards;
-    let extra = config.beds % shards;
-    let mut parts = Vec::with_capacity(shards as usize);
-    let mut offset = 0u32;
-    for s in 0..shards {
-        let beds = base + u32::from(s < extra);
-        if beds == 0 {
-            continue;
-        }
-        let mut mix = (config.seed ^ (u64::from(s) << 1)).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix = (mix ^ (mix >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        mix ^= mix >> 27;
-        parts.push((
-            offset,
-            MultiBedConfig {
-                seed: mix,
-                beds,
-                bed0_proxy_rate_per_hour: if offset == 0 {
-                    config.bed0_proxy_rate_per_hour
-                } else {
-                    0.0
-                },
-                ..config.clone()
-            },
-        ));
-        offset += beds;
-    }
-    parts
-}
-
-/// Runs the ward as seed-isolated shards in parallel, one independent
-/// fabric per shard, and merges outcomes in global bed order.
-///
-/// This is the throughput variant of [`run_multibed_scenario`]: the
-/// shared-fabric run proves cross-bed isolation (no bed observes
-/// another bed's traffic), which is exactly the property that makes
-/// splitting beds across independent fabrics faithful. Output is
-/// byte-identical to running the same shard configurations serially —
-/// see the `sharded_ward_matches_serial_shards` test.
-pub fn run_multibed_sharded(config: &MultiBedConfig, shards: u32) -> Vec<BedOutcome> {
-    let parts = multibed_shard_configs(config, shards);
-    mcps_runtime::shard::run_shards(parts, |(offset, cfg)| {
-        let mut beds = run_multibed_scenario(&cfg);
-        for b in &mut beds {
-            b.bed += offset;
-        }
-        beds
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 #[cfg(test)]
@@ -345,60 +215,5 @@ mod tests {
             ..MultiBedConfig::default()
         };
         assert_eq!(run_multibed_scenario(&cfg), run_multibed_scenario(&cfg));
-    }
-
-    #[test]
-    fn shard_configs_partition_beds_and_isolate_seeds() {
-        let cfg = MultiBedConfig {
-            seed: 11,
-            beds: 5,
-            bed0_proxy_rate_per_hour: 12.0,
-            ..MultiBedConfig::default()
-        };
-        let parts = multibed_shard_configs(&cfg, 3);
-        assert_eq!(parts.iter().map(|(_, c)| c.beds).sum::<u32>(), 5);
-        let offsets: Vec<u32> = parts.iter().map(|(o, _)| *o).collect();
-        assert_eq!(offsets, [0, 2, 4]);
-        // Seeds differ pairwise (isolation), and only the shard that
-        // owns global bed 0 carries the proxy hazard.
-        for (i, (oi, ci)) in parts.iter().enumerate() {
-            assert_eq!(ci.bed0_proxy_rate_per_hour > 0.0, *oi == 0);
-            for (oj, cj) in parts.iter().skip(i + 1) {
-                assert_ne!(ci.seed, cj.seed, "shards at offsets {oi} and {oj} share a seed");
-            }
-        }
-        // More shards than beds degrades to one bed per shard.
-        assert_eq!(multibed_shard_configs(&cfg, 99).len(), 5);
-    }
-
-    #[test]
-    fn sharded_ward_matches_serial_shards() {
-        // The parallel run must be **byte-identical** (same serialized
-        // JSON) to executing the identical shard configurations one
-        // after another on this thread.
-        let cfg = MultiBedConfig {
-            seed: 21,
-            beds: 4,
-            duration: SimDuration::from_mins(10),
-            bed0_proxy_rate_per_hour: 20.0,
-            ..MultiBedConfig::default()
-        };
-        let parallel = run_multibed_sharded(&cfg, 4);
-        let serial: Vec<BedOutcome> = multibed_shard_configs(&cfg, 4)
-            .into_iter()
-            .flat_map(|(offset, c)| {
-                let mut beds = run_multibed_scenario(&c);
-                for b in &mut beds {
-                    b.bed += offset;
-                }
-                beds
-            })
-            .collect();
-        assert_eq!(
-            serde_json::to_string(&parallel).unwrap(),
-            serde_json::to_string(&serial).unwrap()
-        );
-        assert_eq!(parallel.len(), 4);
-        assert_eq!(parallel.iter().map(|b| b.bed).collect::<Vec<_>>(), [0, 1, 2, 3]);
     }
 }

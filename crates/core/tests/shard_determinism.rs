@@ -2,11 +2,9 @@
 //! execution on real workloads — the acceptance gate for moving the
 //! experiment cohorts onto `run_shards`. Identity is checked on the
 //! serialized JSON, not just `PartialEq`, so even float formatting and
-//! field ordering must agree.
+//! field ordering must agree. The sharded campus has the same check in
+//! `scenarios::campus`'s unit tests.
 
-use mcps_core::scenarios::multibed::{
-    multibed_shard_configs, run_multibed_scenario, run_multibed_sharded, MultiBedConfig,
-};
 use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig, PcaScenarioOutcome};
 use mcps_patient::cohort::{CohortConfig, CohortGenerator};
 use mcps_runtime::shard::run_shards;
@@ -34,32 +32,5 @@ fn e1_cohort_parallel_is_byte_identical_to_serial() {
         serde_json::to_string(&parallel).unwrap(),
         serde_json::to_string(&serial).unwrap(),
         "shard-parallel E1 cohort diverged from serial execution"
-    );
-}
-
-#[test]
-fn multibed_ward_parallel_is_byte_identical_to_serial() {
-    let cfg = MultiBedConfig {
-        seed: 17,
-        beds: 3,
-        duration: SimDuration::from_mins(8),
-        bed0_proxy_rate_per_hour: 15.0,
-        ..MultiBedConfig::default()
-    };
-    let parallel = run_multibed_sharded(&cfg, 3);
-    let serial: Vec<_> = multibed_shard_configs(&cfg, 3)
-        .into_iter()
-        .flat_map(|(offset, c)| {
-            let mut beds = run_multibed_scenario(&c);
-            for b in &mut beds {
-                b.bed += offset;
-            }
-            beds
-        })
-        .collect();
-    assert_eq!(
-        serde_json::to_string(&parallel).unwrap(),
-        serde_json::to_string(&serial).unwrap(),
-        "shard-parallel ward diverged from serial execution"
     );
 }

@@ -7,7 +7,7 @@
 
 use crate::actor::{Actor, ActorId};
 use crate::rng::{RngFactory, SimRng};
-use crate::scheduler::{Scheduled, Scheduler};
+use crate::scheduler::Scheduler;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
 use std::collections::VecDeque;
@@ -219,22 +219,6 @@ impl<M: 'static> Executor<M> {
         self.rng_factory
     }
 
-    /// Delivers one event to its target actor, giving it a [`Context`]
-    /// over `sched` and `trace`. Events addressed to unknown ids are
-    /// dropped silently (unreachable through the public kernel API).
-    pub fn dispatch(&mut self, ev: Scheduled<M>, sched: &mut Scheduler<M>, trace: &mut TraceLog) {
-        let idx = ev.target.index() as usize;
-        // Take the actor out of its slot so Context can borrow the rest
-        // of the kernel mutably during dispatch.
-        let Some(mut actor) = self.actors.get_mut(idx).and_then(Option::take) else {
-            return;
-        };
-        let mut ctx =
-            Context { now: ev.at, self_id: ev.target, sched, trace, rng: &mut self.rngs[idx] };
-        actor.handle(ev.msg, &mut ctx);
-        self.actors[idx] = Some(actor);
-    }
-
     /// Delivers every event in `batch` (one open instant's ready ring,
     /// swapped out by the kernel), chaining consecutive same-target
     /// runs: the actor stays checked out and the [`Context`] is built
@@ -262,7 +246,8 @@ impl<M: 'static> Executor<M> {
             };
             let idx = target.index() as usize;
             let Some(mut actor) = self.actors.get_mut(idx).and_then(Option::take) else {
-                // Unknown target: drop the event, as `dispatch` does.
+                // Unknown target (unreachable through the public kernel
+                // API): drop the event.
                 batch.pop_front();
                 delivered += 1;
                 continue;

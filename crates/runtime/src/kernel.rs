@@ -145,25 +145,13 @@ impl<M: 'static> Simulation<M> {
         self.scheduler.is_stopped()
     }
 
-    /// Dispatches the next event, if any. Returns `false` when the queue
-    /// is empty or a stop was requested.
-    pub fn step(&mut self) -> bool {
-        let Some(ev) = self.scheduler.pop_due() else {
-            return false;
-        };
-        self.executor.dispatch(ev, &mut self.scheduler, &mut self.trace);
-        self.events_processed += 1;
-        true
-    }
-
     /// Runs until the queue drains or a stop is requested. Returns the
     /// number of events processed by this call.
     ///
-    /// Unlike [`Self::step`] in a loop, each open instant's ready ring
-    /// is swapped into a reusable scratch buffer and delivered as one
-    /// batch, with consecutive same-target events chained through a
-    /// single checked-out actor and context. Delivery order is
-    /// identical to stepping.
+    /// Each open instant's ready ring is swapped into a reusable
+    /// scratch buffer and delivered as one batch, with consecutive
+    /// same-target events chained through a single checked-out actor
+    /// and context. Delivery order is the scheduler's pop order.
     pub fn run(&mut self) -> u64 {
         let before = self.events_processed;
         while !self.scheduler.is_stopped() {
