@@ -158,8 +158,12 @@ echo "quick fault grid: zero invariant violations (target/BENCH_faults.json)"
 
 echo "== campus-scale smoke (10k-bed scenario engine, reduced census) =="
 cargo build --release -q -p mcps-bench --bin bench_campus
+# The quick campus (96k events in about 40 ms) measured 2.1-2.9M events/s
+# on a 2-vCPU host with the 160-byte event and 2.2-2.8M with the 64-byte
+# one; a run this short is dominated by worker start-up. The 500k floor
+# leaves over 4x for slow hosts and noisy neighbours.
 ./target/release/bench_campus --quick --out target/BENCH_campus.json \
-    --max-ms 60000 --min-events-per-sec 100000 > /dev/null
+    --max-ms 60000 --min-events-per-sec 500000 > /dev/null
 test -s target/BENCH_campus.json || { echo "BENCH_campus.json missing"; exit 1; }
 echo "quick campus: zero invariant violations, events/s over floor (target/BENCH_campus.json)"
 

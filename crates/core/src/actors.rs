@@ -9,6 +9,7 @@
 
 use mcps_device::faults::FaultPlan;
 use mcps_device::monitor::VitalsMonitor;
+use mcps_device::profile::DeviceProfile;
 use mcps_device::pump::PcaPump;
 use mcps_device::ventilator::Ventilator;
 use mcps_device::xray::XRayMachine;
@@ -31,19 +32,22 @@ use crate::supervisor::sans_io::CoreOutputs;
 /// equivalent of a discovery beacon.
 pub(crate) const ANNOUNCE_PERIOD: SimDuration = SimDuration::from_secs(10);
 
+/// Sends `profile` for `endpoint` on `topic`. Both are built once per
+/// actor, so an announce clones two shared handles and allocates
+/// nothing.
 fn announce(
     ctx: &mut Context<'_, IceMsg>,
     netctl: ActorId,
     endpoint: EndpointId,
-    scope: &str,
-    profile: mcps_device::profile::DeviceProfile,
+    topic: &Topic,
+    profile: &DeviceProfile,
 ) {
     ctx.send(
         netctl,
         IceMsg::Net(NetOp::Send {
             from: endpoint,
-            to: NetAddress::Topic(topics::announce_scoped(scope)),
-            payload: NetPayload::Announce { profile, endpoint },
+            to: NetAddress::Topic(topic.clone()),
+            payload: NetPayload::Announce { profile: profile.clone(), endpoint },
         }),
     );
 }
@@ -155,10 +159,10 @@ pub struct MonitorActor {
     netctl: ActorId,
     endpoint: EndpointId,
     fault: FaultPlan,
-    scope: String,
-    /// Pre-built per-kind vitals topics for the current scope, so the
-    /// hot publish path clones an `Arc<str>` instead of formatting a
-    /// fresh topic name per sample.
+    /// Pre-built announce and per-kind vitals topics for the current
+    /// scope, so announcing and publishing clone an `Arc<str>` instead
+    /// of formatting a fresh topic name per message.
+    announce_topic: Topic,
     vitals_topics: Vec<(VitalKind, Topic)>,
     next_announce: Option<SimTime>,
     last_values: BTreeMap<VitalKind, f64>,
@@ -185,7 +189,7 @@ impl MonitorActor {
             netctl,
             endpoint,
             fault,
-            scope: String::new(),
+            announce_topic: topics::announce(),
             vitals_topics: vitals_topics_for(""),
             next_announce: None,
             last_values: BTreeMap::new(),
@@ -195,7 +199,7 @@ impl MonitorActor {
 
     /// Sets the topic scope (bed id) this monitor publishes under.
     pub fn with_scope(mut self, scope: &str) -> Self {
-        self.scope = scope.to_owned();
+        self.announce_topic = topics::announce_scoped(scope);
         self.vitals_topics = vitals_topics_for(scope);
         self
     }
@@ -212,7 +216,7 @@ impl MonitorActor {
             .iter()
             .find(|(k, _)| *k == kind)
             .map(|(_, t)| t.clone())
-            .unwrap_or_else(|| topics::vitals_scoped(&self.scope, kind));
+            .expect("vitals_topics covers every VitalKind");
         ctx.send(
             self.netctl,
             IceMsg::Net(NetOp::Send {
@@ -234,8 +238,7 @@ impl Actor<IceMsg> for MonitorActor {
         // keep their network stack alive.
         if !self.fault.is_crashed(now) && self.next_announce.is_none_or(|t| now >= t) {
             self.next_announce = Some(now + ANNOUNCE_PERIOD);
-            let profile = self.monitor.profile().clone();
-            announce(ctx, self.netctl, self.endpoint, &self.scope, profile);
+            announce(ctx, self.netctl, self.endpoint, &self.announce_topic, self.monitor.profile());
         }
         let period = self.monitor.sample_period();
         if self.fault.is_data_suppressed(now) {
@@ -273,13 +276,22 @@ pub struct VentilatorActor {
     vent: Ventilator,
     netctl: ActorId,
     endpoint: EndpointId,
+    announce_topic: Topic,
+    profile: DeviceProfile,
     next_announce: Option<SimTime>,
 }
 
 impl VentilatorActor {
     /// Wraps a ventilator reachable via `endpoint`.
     pub fn new(vent: Ventilator, netctl: ActorId, endpoint: EndpointId) -> Self {
-        VentilatorActor { vent, netctl, endpoint, next_announce: None }
+        VentilatorActor {
+            vent,
+            netctl,
+            endpoint,
+            announce_topic: topics::announce(),
+            profile: Ventilator::profile("VENT-1"),
+            next_announce: None,
+        }
     }
 
     /// The wrapped ventilator.
@@ -295,7 +307,7 @@ impl Actor<IceMsg> for VentilatorActor {
             IceMsg::Tick => {
                 if self.next_announce.is_none_or(|t| now >= t) {
                     self.next_announce = Some(now + ANNOUNCE_PERIOD);
-                    announce(ctx, self.netctl, self.endpoint, "", Ventilator::profile("VENT-1"));
+                    announce(ctx, self.netctl, self.endpoint, &self.announce_topic, &self.profile);
                 }
                 self.vent.poll(now);
                 ctx.schedule_self(SimDuration::from_millis(250), IceMsg::Tick);
@@ -336,13 +348,22 @@ pub struct XRayActor {
     xray: XRayMachine,
     netctl: ActorId,
     endpoint: EndpointId,
+    announce_topic: Topic,
+    profile: DeviceProfile,
     next_announce: Option<SimTime>,
 }
 
 impl XRayActor {
     /// Wraps an x-ray machine reachable via `endpoint`.
     pub fn new(xray: XRayMachine, netctl: ActorId, endpoint: EndpointId) -> Self {
-        XRayActor { xray, netctl, endpoint, next_announce: None }
+        XRayActor {
+            xray,
+            netctl,
+            endpoint,
+            announce_topic: topics::announce(),
+            profile: XRayMachine::profile("XR-1"),
+            next_announce: None,
+        }
     }
 
     /// The wrapped machine.
@@ -358,7 +379,7 @@ impl Actor<IceMsg> for XRayActor {
             IceMsg::Tick => {
                 if self.next_announce.is_none_or(|t| now >= t) {
                     self.next_announce = Some(now + ANNOUNCE_PERIOD);
-                    announce(ctx, self.netctl, self.endpoint, "", XRayMachine::profile("XR-1"));
+                    announce(ctx, self.netctl, self.endpoint, &self.announce_topic, &self.profile);
                 }
                 ctx.schedule_self(ANNOUNCE_PERIOD, IceMsg::Tick);
             }
@@ -424,7 +445,7 @@ mod tests {
                     NetPayload::Announce { .. } => self.announces += 1,
                     NetPayload::Data { .. } => self.data += 1,
                     NetPayload::Ack { .. } => self.acks += 1,
-                    NetPayload::Command { .. } | NetPayload::Checkpoint { .. } => {}
+                    NetPayload::Command { .. } | NetPayload::Checkpoint(_) => {}
                 }
             }
         }

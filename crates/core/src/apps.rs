@@ -384,14 +384,10 @@ mod tests {
     fn associated_manager(app: &impl ClinicalApp) -> DeviceManager {
         let mut fabric = mcps_net::fabric::Fabric::new();
         let mut m = DeviceManager::new(app.requirements());
-        // Fill every slot with a synthetic all-capable device.
-        let profile = {
-            let mut b = mcps_device::profile::DeviceProfile::builder(
-                "Test",
-                "Omni",
-                "SN",
-                DeviceClass::Infusion,
-            );
+        // Fill every slot with a synthetic all-capable device of the
+        // slot's class (class requirements differ per slot).
+        let omni = |class| {
+            let mut b = mcps_device::profile::DeviceProfile::builder("Test", "Omni", "SN", class);
             for k in mcps_patient::vitals::VitalKind::ALL {
                 b = b.stream(k, SimDuration::from_millis(500), LatencyClass::Realtime);
             }
@@ -408,17 +404,15 @@ mod tests {
             }
             b.build()
         };
-        // One device per slot; class requirements differ, so craft per slot.
         let slot_names: Vec<String> = m.slot_names().map(str::to_owned).collect();
         for slot in slot_names {
             let ep = fabric.add_endpoint(&format!("ep-{slot}"));
-            let mut p = profile.clone();
-            p.class = match slot.as_str() {
+            let p = omni(match slot.as_str() {
                 "pump" => DeviceClass::Infusion,
                 "ventilator" => DeviceClass::Ventilation,
                 "xray" => DeviceClass::Imaging,
                 _ => DeviceClass::Monitor,
-            };
+            });
             let outcome = m.on_announce(ep, &p);
             assert!(
                 matches!(outcome, crate::manager::AssociationOutcome::Associated { .. }),

@@ -66,7 +66,12 @@ impl DeviceManager {
                 return AssociationOutcome::Associated { slot: slot.slot.clone() };
             }
         }
-        self.rejected.push((endpoint, profile.to_string()));
+        // One entry per endpoint: a device re-announces every period for
+        // as long as it is rejected, and a long-lived supervisor must not
+        // grow (or format) a record per repeat.
+        if !self.rejected.iter().any(|(ep, _)| *ep == endpoint) {
+            self.rejected.push((endpoint, profile.to_string()));
+        }
         AssociationOutcome::Rejected
     }
 
@@ -121,7 +126,8 @@ impl DeviceManager {
             .collect()
     }
 
-    /// Announcements that matched nothing (endpoint, profile summary).
+    /// Endpoints whose announcements matched nothing, each with the
+    /// profile summary of its first rejected announce.
     pub fn rejected(&self) -> &[(EndpointId, String)] {
         &self.rejected
     }
@@ -199,6 +205,19 @@ mod tests {
         let legacy = PcaPump::profile("SN-3", false);
         assert_eq!(m.on_announce(eps[0], &legacy), AssociationOutcome::Rejected);
         assert_eq!(m.rejected().len(), 1);
+    }
+
+    #[test]
+    fn repeated_rejections_are_recorded_once_per_endpoint() {
+        let mut m = DeviceManager::new(slots());
+        let eps = endpoints(2);
+        let legacy = PcaPump::profile("SN-3", false);
+        for _ in 0..5 {
+            assert_eq!(m.on_announce(eps[0], &legacy), AssociationOutcome::Rejected);
+        }
+        assert_eq!(m.rejected().len(), 1);
+        assert_eq!(m.on_announce(eps[1], &legacy), AssociationOutcome::Rejected);
+        assert_eq!(m.rejected().len(), 2);
     }
 
     #[test]

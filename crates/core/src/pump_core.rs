@@ -12,8 +12,9 @@
 //! before an input handled at `t`.
 
 use mcps_device::faults::FaultPlan;
+use mcps_device::profile::DeviceProfile;
 use mcps_device::pump::{BolusDecision, PcaPump, StopReason};
-use mcps_net::fabric::EndpointId;
+use mcps_net::fabric::{EndpointId, Topic};
 use mcps_runtime::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -110,7 +111,10 @@ pub enum PumpInput {
 pub struct PumpCore {
     pump: PcaPump,
     endpoint: EndpointId,
-    scope: String,
+    /// The announce topic and profile, built once: every announce
+    /// clones two shared handles.
+    announce_topic: Topic,
+    profile: DeviceProfile,
     fault: FaultPlan,
     /// Recently applied `(epoch, id)` pairs with their application
     /// instant — retried commands (same epoch and id) are acked again
@@ -154,10 +158,12 @@ impl PumpCore {
 
     /// A core for `pump`, reachable via `endpoint`.
     pub fn new(pump: PcaPump, endpoint: EndpointId) -> Self {
+        let profile = PcaPump::profile("PUMP-1", pump.config().ticket_mode);
         PumpCore {
             pump,
             endpoint,
-            scope: String::new(),
+            announce_topic: topics::announce(),
+            profile,
             fault: FaultPlan::none(),
             dedup: CommandDedup::default(),
             duplicate_commands: 0,
@@ -201,7 +207,7 @@ impl PumpCore {
 
     /// Sets the topic scope (bed id) this pump announces under.
     pub fn with_scope(mut self, scope: &str) -> Self {
-        self.scope = scope.to_owned();
+        self.announce_topic = topics::announce_scoped(scope);
         self
     }
 
@@ -333,11 +339,8 @@ impl PumpCore {
         {
             self.last_announce = Some(now);
             out.send(
-                NetAddress::Topic(topics::announce_scoped(&self.scope)),
-                NetPayload::Announce {
-                    profile: PcaPump::profile("PUMP-1", self.pump.config().ticket_mode),
-                    endpoint: self.endpoint,
-                },
+                NetAddress::Topic(self.announce_topic.clone()),
+                NetPayload::Announce { profile: self.profile.clone(), endpoint: self.endpoint },
             );
         }
         let delivered = self.pump.delivered_since_last(now);

@@ -511,14 +511,14 @@ mod tests {
             &mut sim,
             sup,
             primary_ep,
-            NetPayload::Checkpoint {
+            NetPayload::Checkpoint(Box::new(CheckpointState {
                 epoch: 1,
                 next_command_id: 7,
                 degraded: true,
                 stop_unconfirmed: false,
                 inflight_ids: vec![5, 6],
                 last_data: Vec::new(),
-            },
+            })),
         );
         {
             let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
@@ -575,14 +575,14 @@ mod tests {
             sup,
             IceMsg::Net(NetOp::Deliver {
                 from: dev,
-                payload: NetPayload::Checkpoint {
+                payload: NetPayload::Checkpoint(Box::new(CheckpointState {
                     epoch: 9,
                     next_command_id: 0,
                     degraded: false,
                     stop_unconfirmed: false,
                     inflight_ids: Vec::new(),
                     last_data: Vec::new(),
-                },
+                })),
             }),
         );
         sim.run_until(at + SimDuration::from_secs(2));

@@ -748,14 +748,15 @@ impl SupervisorCore {
                 }
                 self.drive_app(now, rng, out, |app, actx| app.on_ack(actx, command, applied_at));
             }
-            NetPayload::Checkpoint {
-                epoch,
-                next_command_id,
-                degraded,
-                stop_unconfirmed,
-                inflight_ids,
-                last_data,
-            } => {
+            NetPayload::Checkpoint(state) => {
+                let CheckpointState {
+                    epoch,
+                    next_command_id,
+                    degraded,
+                    stop_unconfirmed,
+                    inflight_ids,
+                    last_data,
+                } = *state;
                 if epoch > self.epoch && self.role == SupervisorRole::Primary {
                     // Someone with a higher epoch is alive and
                     // publishing: we are the stale half of a healed
@@ -851,16 +852,10 @@ impl SupervisorCore {
     /// data freshness.
     fn publish_checkpoint(&mut self, out: &mut CoreOutputs) {
         let Some(topic) = self.replication.clone() else { return };
-        let state = self.checkpoint_state();
-        let payload = NetPayload::Checkpoint {
-            epoch: state.epoch,
-            next_command_id: state.next_command_id,
-            degraded: state.degraded,
-            stop_unconfirmed: state.stop_unconfirmed,
-            inflight_ids: state.inflight_ids,
-            last_data: state.last_data,
-        };
-        out.send(NetAddress::Topic(topic), payload);
+        out.send(
+            NetAddress::Topic(topic),
+            NetPayload::Checkpoint(Box::new(self.checkpoint_state())),
+        );
     }
 
     /// Standby → primary promotion after checkpoint silence. The new

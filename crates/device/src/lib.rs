@@ -39,8 +39,8 @@ pub use faults::{FaultKind, FaultPlan};
 pub use monitor::{capnograph, pulse_oximeter, Measurement, VitalsMonitor};
 pub use nibp::{NibpConfig, NibpMonitor, NibpReading};
 pub use profile::{
-    CommandKind, DeviceClass, DeviceProfile, DeviceRequirementSet, LatencyClass, Requirement,
-    StreamSpec,
+    CommandKind, DeviceClass, DeviceProfile, DeviceRequirementSet, LatencyClass, ProfileSpec,
+    Requirement, StreamSpec,
 };
 pub use pump::{BolusDecision, DoseEvent, PcaPump, PcaPumpConfig, PumpState, StopReason};
 pub use ventilator::{BreathPhase, PauseOutcome, Ventilator, VentilatorConfig};

@@ -6,11 +6,18 @@
 //! how timely they are. A clinical app then states its requirements and
 //! the ICE device manager matches the two before association. These
 //! types are the vocabulary of that negotiation.
+//!
+//! A [`DeviceProfile`] is built once per device and never changes
+//! afterwards, so it is a shared handle: every announce, and every copy
+//! the network controller makes of it for a subscriber, clones one
+//! `Arc` instead of the strings and vectors behind it.
 
 use mcps_patient::vitals::VitalKind;
 use mcps_runtime::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Broad regulatory class of a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -85,9 +92,16 @@ pub struct StreamSpec {
     pub latency_class: LatencyClass,
 }
 
-/// The self-description a device presents at association time.
+/// The self-description a device presents at association time: an
+/// immutable, shared handle on a [`ProfileSpec`], whose fields are read
+/// through [`Deref`]. A clone is a reference-count bump, and the handle
+/// is pointer-sized, so a message carrying it stays cheap to move.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeviceProfile(Arc<ProfileSpec>);
+
+/// The fields of a [`DeviceProfile`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeviceProfile {
+pub struct ProfileSpec {
     /// Manufacturer name.
     pub vendor: String,
     /// Model name.
@@ -111,7 +125,7 @@ impl DeviceProfile {
         class: DeviceClass,
     ) -> DeviceProfileBuilder {
         DeviceProfileBuilder {
-            profile: DeviceProfile {
+            spec: ProfileSpec {
                 vendor: vendor.to_owned(),
                 model: model.to_owned(),
                 serial: serial.to_owned(),
@@ -121,7 +135,31 @@ impl DeviceProfile {
             },
         }
     }
+}
 
+impl Deref for DeviceProfile {
+    type Target = ProfileSpec;
+
+    fn deref(&self) -> &ProfileSpec {
+        &self.0
+    }
+}
+
+// The JSON of a profile is the JSON of its fields: the handle is
+// invisible on the wire.
+impl Serialize for DeviceProfile {
+    fn to_content(&self) -> serde::Content {
+        self.0.to_content()
+    }
+}
+
+impl Deserialize for DeviceProfile {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        ProfileSpec::from_content(content).map(|spec| DeviceProfile(Arc::new(spec)))
+    }
+}
+
+impl ProfileSpec {
     /// Whether the device publishes `kind` at least as often as
     /// `max_period` and at least as timely as `class`.
     pub fn provides_stream(
@@ -150,27 +188,27 @@ impl fmt::Display for DeviceProfile {
 /// Incremental builder for [`DeviceProfile`].
 #[derive(Debug, Clone)]
 pub struct DeviceProfileBuilder {
-    profile: DeviceProfile,
+    spec: ProfileSpec,
 }
 
 impl DeviceProfileBuilder {
     /// Adds a published stream.
     pub fn stream(mut self, kind: VitalKind, period: SimDuration, class: LatencyClass) -> Self {
-        self.profile.streams.push(StreamSpec { kind, period, latency_class: class });
+        self.spec.streams.push(StreamSpec { kind, period, latency_class: class });
         self
     }
 
     /// Adds an accepted command.
     pub fn command(mut self, command: CommandKind) -> Self {
-        if !self.profile.commands.contains(&command) {
-            self.profile.commands.push(command);
+        if !self.spec.commands.contains(&command) {
+            self.spec.commands.push(command);
         }
         self
     }
 
     /// Finishes the profile.
     pub fn build(self) -> DeviceProfile {
-        self.profile
+        DeviceProfile(Arc::new(self.spec))
     }
 }
 
@@ -330,6 +368,23 @@ mod tests {
             .command(CommandKind::Stop)
             .build();
         assert_eq!(p.commands.len(), 1);
+    }
+
+    #[test]
+    fn clones_share_one_spec() {
+        let p = pump_profile();
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.0, &q.0));
+    }
+
+    #[test]
+    fn json_is_the_spec_and_round_trips() {
+        let p = oximeter_profile();
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(json, serde_json::to_string(&*p).unwrap());
+        assert!(json.starts_with(r#"{"vendor":"Acme","model":"OxiMax 9","serial":"SN-1""#));
+        let back: DeviceProfile = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, p);
     }
 
     #[test]

@@ -199,7 +199,7 @@ fn put_binary_body(op: &NetOp, out: &mut Vec<u8>) -> bool {
             put_command(*command, out);
             out.extend_from_slice(&applied_at.as_micros().to_le_bytes());
         }
-        NetPayload::Announce { .. } | NetPayload::Checkpoint { .. } => return false,
+        NetPayload::Announce { .. } | NetPayload::Checkpoint(_) => return false,
     }
     true
 }

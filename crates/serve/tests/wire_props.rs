@@ -6,7 +6,9 @@
 //! re-encodes to the same bytes or be rejected — never panic.
 
 use mcps_core::msg::{NetAddress, NetOp, NetPayload};
+use mcps_core::supervisor::CheckpointState;
 use mcps_core::IceCommand;
+use mcps_device::pump::PcaPump;
 use mcps_net::fabric::EndpointId;
 use mcps_patient::vitals::VitalKind;
 use mcps_runtime::time::{SimDuration, SimTime};
@@ -253,16 +255,44 @@ fn every_binary_variant_roundtrips_bit_exactly() {
     }
 }
 
-#[test]
-fn json_only_ops_still_travel_as_json() {
-    let checkpoint = NetPayload::Checkpoint {
+/// The replication checkpoint the JSON tests carry.
+fn checkpoint() -> NetPayload {
+    NetPayload::Checkpoint(Box::new(CheckpointState {
         epoch: 3,
         next_command_id: 9,
         degraded: false,
         stop_unconfirmed: true,
         inflight_ids: vec![7, 8],
         last_data: vec![(EndpointId::from_index(1), SimTime::from_secs(4))],
-    };
+    }))
+}
+
+/// The JSON body `encode_frame` writes for `payload` delivered from
+/// endpoint 2.
+fn json_body(payload: NetPayload) -> String {
+    let frame = encode_frame(&NetOp::Deliver { from: EndpointId::from_index(2), payload });
+    String::from_utf8(frame[HEADER_LEN..].to_vec()).expect("a JSON body is UTF-8")
+}
+
+/// The JSON bodies of the cold ops are pinned byte for byte: a shared
+/// profile handle and a boxed checkpoint are invisible on the wire.
+#[test]
+fn announce_and_checkpoint_json_bodies_are_pinned() {
+    let profile = PcaPump::profile("PUMP-1", true);
+    let endpoint = EndpointId::from_index(2);
+    assert_eq!(
+        json_body(NetPayload::Announce { profile, endpoint }),
+        r#"{"Deliver":{"from":2,"payload":{"Announce":{"profile":{"vendor":"GPCA","model":"SafePump-1","serial":"PUMP-1","class":"Infusion","streams":[],"commands":["Stop","Resume","RequestBolus","SetRate","GrantTicket"]},"endpoint":2}}}}"#
+    );
+    assert_eq!(
+        json_body(checkpoint()),
+        r#"{"Deliver":{"from":2,"payload":{"Checkpoint":{"epoch":3,"next_command_id":9,"degraded":false,"stop_unconfirmed":true,"inflight_ids":[7,8],"last_data":[[1,4000000]]}}}}"#
+    );
+}
+
+#[test]
+fn json_only_ops_still_travel_as_json() {
+    let checkpoint = checkpoint();
     let topic = NetOp::Send {
         from: EndpointId::from_index(0),
         to: NetAddress::Topic(mcps_net::fabric::Topic::new("vitals/spo2")),
