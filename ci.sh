@@ -54,6 +54,10 @@
 #   9a. campus-scale smoke                      — bench_campus --quick
 #      fails on any admission/association invariant violation in the
 #      reduced campus, under an events/s floor, or past its ceiling
+#   9b. E8 fail-safe projection                 — e8_failsafe --quick
+#      exits nonzero if any arm expected to engage the fail-safe (crash,
+#      silent data, screened stuck value, partition) reports a campaign
+#      invariant violation
 #  10. serve-mode smoke                          — the serve crate's
 #      crash harness (kill -9 the live supervisor mid-bolus; the
 #      device-local fail-safe must latch), then bench_serve --quick
@@ -166,6 +170,11 @@ cargo build --release -q -p mcps-bench --bin bench_campus
     --max-ms 60000 --min-events-per-sec 500000 > /dev/null
 test -s target/BENCH_campus.json || { echo "BENCH_campus.json missing"; exit 1; }
 echo "quick campus: zero invariant violations, events/s over floor (target/BENCH_campus.json)"
+
+echo "== E8 fail-safe projection (campaign cells, engage arms violation-free) =="
+cargo build --release -q -p mcps-bench --bin e8_failsafe
+./target/release/e8_failsafe --quick > /dev/null
+echo "E8 quick: every arm expected to engage did so with zero violations"
 
 echo "== serve-mode smoke (live host, crash harness, smoke budget) =="
 cargo test -q -p mcps-serve --release --test crash --test live_loop

@@ -20,8 +20,10 @@
 //!    criterion bench (500 instants × 1024 same-instant messages), so
 //!    the committed events/s figure is directly comparable.
 //! 3. **E1 cohort wall clock** — the PCA-interlock cohort (patients ×
-//!    hours × 4 arms) end to end: the scheduler win as seen by a real
-//!    experiment, not a microbench.
+//!    hours × 4 arms) end to end, through the same
+//!    [`mcps_bench::e1::run_arms`] the `e1_pca_interlock` binary
+//!    calls: the scheduler win as seen by a real experiment, not a
+//!    microbench.
 //! 4. **Steady-state allocation audit** — a counting global allocator
 //!    proves a warmed-then-reset scheduler replays an identical
 //!    mixed workload with **zero** heap allocations (slot buckets,
@@ -29,10 +31,7 @@
 //!
 //! Usage: `bench_runtime [--out PATH] [--events N] [--quick] [--max-ms MS]`
 
-use mcps_bench::Args;
-use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
-use mcps_core::scenarios::pca::{run_pca_scenario, PcaScenarioConfig};
-use mcps_patient::cohort::{CohortConfig, CohortGenerator};
+use mcps_bench::{e1, Args};
 use mcps_runtime::prelude::*;
 use mcps_runtime::scheduler::{reference::ReferenceScheduler, Scheduler};
 use serde::Serialize;
@@ -381,41 +380,9 @@ fn sim_batched(iters: u64) -> SimBatchedReport {
 // E1 cohort wall clock: the interlock-efficacy experiment end to end.
 
 fn e1_cohort(patients: u64, hours: f64) -> E1CohortReport {
-    let seed = 42u64;
-    let arms: [Option<InterlockConfig>; 4] = [
-        None,
-        Some(InterlockConfig {
-            strategy: InterlockStrategy::Command,
-            detector: DetectorKind::Threshold,
-            ..InterlockConfig::default()
-        }),
-        Some(InterlockConfig::default()),
-        Some(InterlockConfig {
-            detector: DetectorKind::FusionWithTrend,
-            ..InterlockConfig::default()
-        }),
-    ];
     let t0 = Instant::now();
-    let mut severe = 0u64;
-    for interlock in arms {
-        let cohort = CohortGenerator::new(seed, CohortConfig::default());
-        let shard_severe = run_shards((0..patients).collect(), |i| {
-            let params = cohort.params(i);
-            let mut cfg = match interlock {
-                Some(il) => {
-                    let mut c = PcaScenarioConfig::baseline(seed.wrapping_add(i), params);
-                    c.interlock = Some(il);
-                    c.pump.ticket_mode = matches!(il.strategy, InterlockStrategy::Ticket { .. });
-                    c
-                }
-                None => PcaScenarioConfig::open_loop(seed.wrapping_add(i), params),
-            };
-            cfg.duration = SimDuration::from_secs_f64(hours * 3600.0);
-            cfg.proxy_rate_per_hour = 4.0;
-            u64::from(run_pca_scenario(&cfg).patient.severe_hypox_events)
-        });
-        severe += shard_severe.iter().sum::<u64>();
-    }
+    let arms = e1::run_arms(patients, hours, e1::PROXY_PER_HOUR, e1::SEED);
+    let severe: u64 = arms.iter().map(|a| a.counter("severe_events")).sum();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!(
         "         e1_cohort: {patients} patients x {hours} h x 4 arms | {wall_ms:.0} ms \

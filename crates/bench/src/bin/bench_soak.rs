@@ -15,8 +15,9 @@
 //!      epoch** (journal fencing — the pump's `max_epoch_seen` must
 //!      climb every cycle, and replayed stale commands cannot
 //!      actuate);
-//!    * **danger→stop ≤ 30 protocol-seconds** measured from the
-//!      restart instant (reconnect + re-associate + detect);
+//!    * **danger→stop ≤ 30 protocol-seconds** (the campaign's
+//!      `DANGER_DEADLINE_SECS` backstop) measured from the restart
+//!      instant (reconnect + re-associate + detect);
 //!    * during outages longer than the 15 s supervision deadline the
 //!      pump's **device-local watchdog latches basal-only**;
 //!    * **zero double actuations** across every epoch of the run.
@@ -31,6 +32,7 @@
 //! Any violated invariant is listed in the report and fails the run
 //! (non-zero exit) — ci wires `--quick --max-ms` in as a gate.
 
+use mcps_bench::campaign::DANGER_DEADLINE_SECS;
 use mcps_bench::Args;
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
 use mcps_core::msg::{NetOp, NetPayload};
@@ -366,7 +368,7 @@ fn bench_process(cycles: u64, violations: &mut Vec<String>) -> ProcessReport {
         }
 
         // Danger from the restart instant: reconnect, re-associate,
-        // detect and stop — all within 30 protocol seconds.
+        // detect and stop — all within the danger backstop.
         let restart_sim = client.sim_now();
         let stopped = drive(&mut client, &mut noise, (85.0, 14.0), Duration::from_secs(30), |c| {
             c.first_stop_at_or_after(restart_sim).is_some()
@@ -379,9 +381,10 @@ fn bench_process(cycles: u64, violations: &mut Vec<String>) -> ProcessReport {
         let stop_at = client.first_stop_at_or_after(restart_sim).expect("checked stop");
         let latency_s = stop_at.saturating_since(restart_sim).as_secs_f64();
         worst_protocol_s = worst_protocol_s.max(latency_s);
-        if latency_s > 30.0 {
+        if latency_s > DANGER_DEADLINE_SECS {
             violations.push(format!(
-                "cycle {cycle}: danger→stop {latency_s:.1}s exceeds 30s across the restart"
+                "cycle {cycle}: danger→stop {latency_s:.1}s exceeds {DANGER_DEADLINE_SECS:.0}s \
+                 across the restart"
             ));
         }
         if long_outage {

@@ -122,6 +122,9 @@ pub struct CellSpec {
     pub backup: bool,
     /// The invariant class scoring this cell.
     pub invariant: InvariantClass,
+    /// Whether the interlock runs its flatline/plausibility screen
+    /// (`InterlockConfig::plausibility_check`).
+    pub plausibility: bool,
 }
 
 impl CellSpec {
@@ -270,6 +273,7 @@ pub fn build_grid(cfg: &CampaignConfig) -> Vec<CellSpec> {
                             outage,
                             backup,
                             invariant,
+                            plausibility: true,
                         });
                     }
                 }
@@ -350,6 +354,7 @@ pub fn mined_failover_cells() -> Vec<CellSpec> {
         outage: None,
         backup: false,
         invariant: InvariantClass::Failover,
+        plausibility: true,
     }]
 }
 
@@ -547,7 +552,7 @@ fn trial_config(spec: &CellSpec, cfg: &CampaignConfig, trial: u64) -> PcaScenari
     c.backup_oximeter = spec.backup;
     c.scheduler_telemetry = true;
     if let Some(il) = c.interlock.as_mut() {
-        il.plausibility_check = true;
+        il.plausibility_check = spec.plausibility;
     }
     if let Some(kind) = spec.fault {
         let plan = FaultPlan::none().with_fault(kind, spec.onset, spec.until);
@@ -710,6 +715,22 @@ mod tests {
         assert!(fs.max_secs <= FRESHNESS_DEADLINE_SECS, "{}", fs.max_secs);
         assert_eq!(report.spurious_degradations, 0);
         assert!(report.degraded_entries >= 1, "sensor loss must degrade the supervisor");
+    }
+
+    #[test]
+    fn stuck_value_cell_needs_the_plausibility_screen() {
+        let mut cfg = CampaignConfig::quick(5);
+        cfg.run = SimDuration::from_mins(15);
+        let mut spec = build_grid(&cfg)
+            .into_iter()
+            .find(|c| c.kind_label == "stuck" && !c.backup && c.outage.is_none())
+            .expect("stuck cell in grid");
+        assert!(spec.plausibility && spec.until.is_none());
+        let screened = run_cell(&spec, &cfg);
+        assert_eq!(screened.violations, 0, "reasons: {:?}", screened.violation_reasons);
+        spec.plausibility = false;
+        let bare = run_cell(&spec, &cfg);
+        assert!(bare.violations > 0, "frozen data must defeat freshness checking alone");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Shared infrastructure for the experiment binaries.
 //!
 //! Each `e*` binary regenerates one experiment from DESIGN.md and
-//! prints its table(s). This crate provides the tiny pieces they share:
-//! a fixed-width table printer and a no-dependency CLI argument parser.
+//! prints its table(s). This crate provides the tiny pieces they share
+//! (a fixed-width table printer and a no-dependency CLI argument
+//! parser) and the experiments that other binaries also run, so each
+//! is defined once: the E1 cohort ([`e1`]) and the fault campaign that
+//! E8 projects ([`campaign`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,6 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 pub mod campaign;
+pub mod e1;
 
 /// A minimal fixed-width table printer for experiment output.
 #[derive(Debug, Clone, Default)]

@@ -42,6 +42,6 @@ pub use profile::{
     CommandKind, DeviceClass, DeviceProfile, DeviceRequirementSet, LatencyClass, ProfileSpec,
     Requirement, StreamSpec,
 };
-pub use pump::{BolusDecision, DoseEvent, PcaPump, PcaPumpConfig, PumpState, StopReason};
+pub use pump::{BolusDecision, PcaPump, PcaPumpConfig, PumpState, StopReason};
 pub use ventilator::{BreathPhase, PauseOutcome, Ventilator, VentilatorConfig};
 pub use xray::{Exposure, XRayConfig, XRayMachine};

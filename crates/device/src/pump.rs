@@ -122,15 +122,6 @@ pub enum BolusDecision {
     Suspended,
 }
 
-/// One entry in the pump's dose log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DoseEvent {
-    /// When the bolus started.
-    pub at: SimTime,
-    /// Programmed dose, mg.
-    pub dose_mg: f64,
-}
-
 /// The PCA pump state machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PcaPump {
@@ -145,7 +136,6 @@ pub struct PcaPump {
     /// safe state) until an explicit resume. Set by the device-local
     /// watchdog when supervision is lost.
     bolus_suspended: bool,
-    dose_log: Vec<DoseEvent>,
     /// Sliding-window record of delivered increments for the hourly cap.
     window: VecDeque<(SimTime, f64)>,
     window_sum: f64,
@@ -178,7 +168,6 @@ impl PcaPump {
             last_bolus_start: None,
             ticket_expiry: None,
             bolus_suspended: false,
-            dose_log: Vec::new(),
             window: VecDeque::new(),
             window_sum: 0.0,
             total_delivered_mg: 0.0,
@@ -296,7 +285,6 @@ impl PcaPump {
         }
         self.last_bolus_start = Some(now);
         self.active_bolus = Some((now, self.config.bolus_dose_mg));
-        self.dose_log.push(DoseEvent { at: now, dose_mg: self.config.bolus_dose_mg });
         BolusDecision::Started
     }
 
@@ -317,11 +305,6 @@ impl PcaPump {
     /// Drug delivered in the last sliding hour, mg.
     pub fn hourly_delivered_mg(&self) -> f64 {
         self.window_sum
-    }
-
-    /// The bolus log.
-    pub fn dose_log(&self) -> &[DoseEvent] {
-        &self.dose_log
     }
 
     /// Whether a bolus is being delivered at `now`.
@@ -437,7 +420,6 @@ mod tests {
         assert_eq!(p.request_bolus(t(60)), BolusDecision::LockedOut);
         assert_eq!(p.request_bolus(t(359)), BolusDecision::LockedOut);
         assert_eq!(p.request_bolus(t(360)), BolusDecision::Started);
-        assert_eq!(p.dose_log().len(), 2);
     }
 
     #[test]
