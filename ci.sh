@@ -18,6 +18,12 @@
 #      removed tests-only sharded multibed API (run_multibed_sharded,
 #      multibed_shard_configs): the campus is the sharded ward, and
 #      both build their PCA closed loops through scenarios::PcaBed
+#   1e. one way through the kernel              — no .rs file may name the
+#      removed Executor, WheelStats or stop API (request_stop,
+#      stop_requested, put_back_ready, into_leftover): Simulation owns
+#      its actors, the wheel's counters reach the world only through
+#      export_telemetry, and events leave the wheel only through
+#      Scheduler::drain_instant
 #   2. cargo clippy --workspace -D warnings     — lints, all targets
 #   2a. cargo doc --workspace --no-deps         — rustdoc with -D warnings:
 #      no broken, private or ambiguous intra-doc links
@@ -27,7 +33,8 @@
 #   4. cargo test --workspace -q                — every crate incl. shims
 #   5. cargo build --benches                    — criterion benches compile
 #   5a. scheduler conformance                   — timer-wheel engine ==
-#      reference heap engine in lockstep (pop-for-pop, seq-exact)
+#      reference heap engine in lockstep (batch-for-batch through
+#      drain_instant), with the programs' wheel-path coverage asserted
 #   5b. scheduler golden pins                   — the fabric_golden
 #      baseline hashes must be the pre-wheel constants (the wheel must
 #      reproduce them, never re-record them), and the pinned test passes;
@@ -36,7 +43,7 @@
 #      PumpActor adapter and a bed-style PumpCore driver agree
 #      send-for-send on seeded command programs
 #   5c. runtime scheduler smoke budget          — bench_runtime --quick
-#      fails if wheel/heap pop streams diverge, if the steady-state
+#      fails if wheel/heap delivery streams diverge, if the steady-state
 #      dispatch path allocates, or past its wall-clock ceiling
 #   6. checker conformance tests                — packed engine ==
 #      reference engine, serial == parallel (bit-identical)
@@ -99,6 +106,12 @@ fi
 echo "== one PCA bed (no tests-only sharded multibed API) =="
 if git grep -nE 'run_multibed_sharded|multibed_shard_configs' -- '*.rs'; then
     echo "the campus is the sharded ward; build PCA closed loops through scenarios::PcaBed"
+    exit 1
+fi
+
+echo "== one way through the kernel (no Executor, WheelStats or stop API) =="
+if git grep -nE '\bExecutor\b|WheelStats|request_stop|stop_requested|put_back_ready|into_leftover' -- '*.rs'; then
+    echo "Simulation owns its actors and drains the wheel through Scheduler::drain_instant"
     exit 1
 fi
 

@@ -4,8 +4,9 @@
 //! binary-heap reference engine and writes `BENCH_runtime.json`:
 //!
 //! 1. **Engine throughput** — both engines run identical deterministic
-//!    workloads at the scheduler API level (schedule/pop, no actors);
-//!    the figure is events popped per wall second. Workloads:
+//!    workloads at the scheduler API level (schedule and
+//!    `drain_instant`, the kernel's instant-batch drain; no actors);
+//!    the figure is events delivered per wall second. Workloads:
 //!    `pure_periodic` (sparse periodic timers, the fabric's steady
 //!    state), `mixed_horizon` (events filed across every wheel level
 //!    plus the beyond-horizon overflow), `cancel_heavy` (schedule-many
@@ -13,8 +14,9 @@
 //!    costly half of a cancel-heavy load, parking events that are not
 //!    due for hours, is what this models) and `same_instant_burst`
 //!    (whole instants drained through the ready ring). Every workload
-//!    hashes its pop sequence `(at, target, msg)` and the run aborts if
-//!    the two engines disagree — a conformance check on every bench.
+//!    hashes its delivery sequence `(at, target, msg)` and the run
+//!    aborts if the two engines disagree — a conformance check on every
+//!    bench.
 //! 2. **Kernel batched dispatch** — the full `Simulation` running the
 //!    same burst workload as the `runtime/batched_dispatch/1024`
 //!    criterion bench (500 instants × 1024 same-instant messages), so
@@ -36,6 +38,7 @@ use mcps_runtime::prelude::*;
 use mcps_runtime::scheduler::{reference::ReferenceScheduler, Scheduler};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -121,19 +124,19 @@ struct AllocReport {
 
 trait Engine {
     fn schedule(&mut self, at: SimTime, target: ActorId, msg: u64);
-    fn pop(&mut self) -> Option<(SimTime, ActorId, u64)>;
-    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, ActorId, u64)>;
+    fn now(&self) -> SimTime;
+    fn drain(&mut self, until: Option<SimTime>, batch: &mut VecDeque<(ActorId, u64)>) -> bool;
 }
 
 impl Engine for Scheduler<u64> {
     fn schedule(&mut self, at: SimTime, target: ActorId, msg: u64) {
         self.schedule_at(at, target, msg);
     }
-    fn pop(&mut self) -> Option<(SimTime, ActorId, u64)> {
-        self.pop_due().map(|e| (e.at, e.target, e.msg))
+    fn now(&self) -> SimTime {
+        Scheduler::now(self)
     }
-    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, ActorId, u64)> {
-        self.pop_due_until(deadline).map(|e| (e.at, e.target, e.msg))
+    fn drain(&mut self, until: Option<SimTime>, batch: &mut VecDeque<(ActorId, u64)>) -> bool {
+        self.drain_instant(until, batch)
     }
 }
 
@@ -141,11 +144,11 @@ impl Engine for ReferenceScheduler<u64> {
     fn schedule(&mut self, at: SimTime, target: ActorId, msg: u64) {
         self.schedule_at(at, target, msg);
     }
-    fn pop(&mut self) -> Option<(SimTime, ActorId, u64)> {
-        self.pop_due().map(|e| (e.at, e.target, e.msg))
+    fn now(&self) -> SimTime {
+        ReferenceScheduler::now(self)
     }
-    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, ActorId, u64)> {
-        self.pop_due_until(deadline).map(|e| (e.at, e.target, e.msg))
+    fn drain(&mut self, until: Option<SimTime>, batch: &mut VecDeque<(ActorId, u64)>) -> bool {
+        self.drain_instant(until, batch)
     }
 }
 
@@ -167,8 +170,27 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Drains every instant due by `until` through `batch` (reused across
+/// calls, as the kernel reuses its own), folding each delivery into
+/// `popped` and the hash `h`.
+fn drain_hash<E: Engine + ?Sized>(
+    e: &mut E,
+    until: Option<SimTime>,
+    batch: &mut VecDeque<(ActorId, u64)>,
+    popped: &mut u64,
+    h: &mut u64,
+) {
+    while e.drain(until, batch) {
+        let at = e.now();
+        for (target, msg) in batch.drain(..) {
+            *h = hash_pop(*h, at, target, msg);
+            *popped += 1;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Workloads. Each is deterministic in `n`, returns (events, pop hash).
+// Workloads. Each is deterministic in `n`, returns (events, delivery hash).
 
 /// 64 staggered periodic timers re-arming on every fire — the sparse
 /// steady state of the device fabric.
@@ -180,15 +202,20 @@ fn pure_periodic<E: Engine + ?Sized>(e: &mut E, n: u64) -> (u64, u64) {
     let mut scheduled = ACTORS;
     let mut popped = 0u64;
     let mut h = FNV_OFFSET;
-    while let Some((at, target, msg)) = e.pop() {
-        h = hash_pop(h, at, target, msg);
-        popped += 1;
-        if scheduled < n {
-            scheduled += 1;
-            // Per-timer period in the 1–2 ms band, co-prime-ish so the
-            // timers drift through each other instead of phase-locking.
-            let period = 977 + (msg % ACTORS) * 13;
-            e.schedule(SimTime::from_micros(at.as_micros() + period), target, msg);
+    let mut batch = VecDeque::new();
+    while e.drain(None, &mut batch) {
+        let at = e.now();
+        for (target, msg) in batch.drain(..) {
+            h = hash_pop(h, at, target, msg);
+            popped += 1;
+            if scheduled < n {
+                scheduled += 1;
+                // Per-timer period in the 1–2 ms band, co-prime-ish so
+                // the timers drift through each other instead of
+                // phase-locking.
+                let period = 977 + (msg % ACTORS) * 13;
+                e.schedule(SimTime::from_micros(at.as_micros() + period), target, msg);
+            }
         }
     }
     (popped, h)
@@ -205,10 +232,7 @@ fn mixed_horizon<E: Engine + ?Sized>(e: &mut E, n: u64) -> (u64, u64) {
     }
     let mut popped = 0u64;
     let mut h = FNV_OFFSET;
-    while let Some((at, target, msg)) = e.pop() {
-        h = hash_pop(h, at, target, msg);
-        popped += 1;
-    }
+    drain_hash(e, None, &mut VecDeque::new(), &mut popped, &mut h);
     (popped, h)
 }
 
@@ -220,6 +244,7 @@ fn cancel_heavy<E: Engine + ?Sized>(e: &mut E, rounds: u64) -> (u64, u64) {
     let mut popped = 0u64;
     let mut h = FNV_OFFSET;
     let mut now_ms = 0u64;
+    let mut batch = VecDeque::new();
     for r in 0..rounds {
         let base_us = now_ms * 1_000;
         for k in 0..16u64 {
@@ -229,15 +254,9 @@ fn cancel_heavy<E: Engine + ?Sized>(e: &mut E, rounds: u64) -> (u64, u64) {
         }
         now_ms += 1;
         e.schedule(SimTime::from_millis(now_ms), ActorId::from_index(63), r);
-        while let Some((at, target, msg)) = e.pop_until(SimTime::from_millis(now_ms)) {
-            h = hash_pop(h, at, target, msg);
-            popped += 1;
-        }
+        drain_hash(e, Some(SimTime::from_millis(now_ms)), &mut batch, &mut popped, &mut h);
     }
-    while let Some((at, target, msg)) = e.pop() {
-        h = hash_pop(h, at, target, msg);
-        popped += 1;
-    }
+    drain_hash(e, None, &mut batch, &mut popped, &mut h);
     (popped, h)
 }
 
@@ -246,21 +265,20 @@ fn same_instant_burst<E: Engine + ?Sized>(e: &mut E, instants: u64) -> (u64, u64
     const BURST: u64 = 512;
     let mut popped = 0u64;
     let mut h = FNV_OFFSET;
+    let mut batch = VecDeque::new();
     for inst in 0..instants {
         let t = SimTime::from_millis(inst + 1);
         for k in 0..BURST {
             e.schedule(t, ActorId::from_index((k % 32) as u32), inst * BURST + k);
         }
-        while let Some((at, target, msg)) = e.pop_until(t) {
-            h = hash_pop(h, at, target, msg);
-            popped += 1;
-        }
+        drain_hash(e, Some(t), &mut batch, &mut popped, &mut h);
     }
     (popped, h)
 }
 
-/// Times `work` on both engines (best of `iters`), asserting the pop
-/// sequences hash identically — the heap is the conformance oracle.
+/// Times `work` on both engines (best of `iters`), asserting the
+/// delivery sequences hash identically — the heap is the conformance
+/// oracle.
 fn compare_engines<W>(name: &'static str, iters: u64, work: W) -> WorkloadReport
 where
     W: Fn(&mut dyn Engine) -> (u64, u64),
@@ -282,7 +300,7 @@ where
     }
     assert_eq!(
         wheel_out, heap_out,
-        "{name}: wheel and heap pop sequences diverged — conformance failure"
+        "{name}: wheel and heap delivery sequences diverged — conformance failure"
     );
     let (events, hash) = wheel_out;
     let report = WorkloadReport {
@@ -395,8 +413,9 @@ fn e1_cohort(patients: u64, hours: f64) -> E1CohortReport {
 // Steady-state allocation audit.
 
 /// One deterministic mixed pass over a scheduler: files across levels
-/// and the overflow list, drains instants through the ring.
-fn alloc_pass(s: &mut Scheduler<u64>) -> u64 {
+/// and the overflow list, drains instants through the ring into
+/// `batch`.
+fn alloc_pass(s: &mut Scheduler<u64>, batch: &mut VecDeque<(ActorId, u64)>) -> u64 {
     const N: u64 = 20_000;
     for k in 0..N {
         let r = splitmix(k ^ 0x5eed);
@@ -405,21 +424,23 @@ fn alloc_pass(s: &mut Scheduler<u64>) -> u64 {
         s.schedule_at(SimTime::from_micros(at), ActorId::from_index((r % 16) as u32), k);
     }
     let mut popped = 0u64;
-    while s.pop_due().is_some() {
-        popped += 1;
+    while s.drain_instant(None, batch) {
+        popped += batch.len() as u64;
+        batch.clear();
     }
     popped
 }
 
 fn steady_state_allocs() -> AllocReport {
     let mut s: Scheduler<u64> = Scheduler::new();
+    let mut batch = VecDeque::new();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let warm_popped = alloc_pass(&mut s);
+    let warm_popped = alloc_pass(&mut s, &mut batch);
     let warm = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     s.reset(); // keeps every buffer's capacity
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let steady_popped = alloc_pass(&mut s);
+    let steady_popped = alloc_pass(&mut s, &mut batch);
     let steady = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert_eq!(warm_popped, steady_popped, "reset changed the replayed workload");

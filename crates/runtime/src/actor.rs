@@ -94,22 +94,17 @@ pub trait Actor<M>: AsAny {
     /// in order. The kernel calls this once per run instead of once
     /// per message.
     ///
-    /// The default forwards each message to [`Self::handle`] and stops
-    /// early if the actor requests a stop — exactly what a
-    /// message-at-a-time loop would do. Because default trait methods
-    /// are monomorphized per implementation, those `handle` calls
-    /// resolve statically and inline, so the dynamic dispatch cost is
-    /// paid once per run, not once per message.
+    /// The default forwards each message to [`Self::handle`] — exactly
+    /// what a message-at-a-time loop would do. Because default trait
+    /// methods are monomorphized per implementation, those `handle`
+    /// calls resolve statically and inline, so the dynamic dispatch
+    /// cost is paid once per run, not once per message.
     ///
-    /// Overrides must preserve those semantics: consume `msgs` front to
-    /// back, treat each message exactly as `handle` would, and return
-    /// early (leaving the rest unconsumed) once a stop is requested.
+    /// Overrides must preserve those semantics: consume all of `msgs`
+    /// front to back and treat each message exactly as `handle` would.
     fn handle_run(&mut self, msgs: &mut MsgRun<'_, M>, ctx: &mut Context<'_, M>) {
         for msg in msgs.by_ref() {
             self.handle(msg, ctx);
-            if ctx.stop_requested() {
-                break;
-            }
         }
     }
 }

@@ -1,19 +1,19 @@
 //! The discrete-event simulation executive.
 //!
-//! [`Simulation`] joins a [`Scheduler`] (event queue, clock, stop
-//! control) and an [`Executor`] (actor slab, dispatch, RNG streams)
-//! behind the classic kernel API. Events with equal timestamps are
-//! delivered in scheduling order (FIFO), which — together with seeded
-//! RNG streams — makes every run bit-reproducible. Same-instant
-//! cascades are delivered through the scheduler's batch, avoiding
-//! per-event heap churn on the hot path.
+//! [`Simulation`] owns the actor slab, each actor's RNG stream and a
+//! [`Scheduler`] (event queue and clock), and delivers the events the
+//! scheduler hands out one instant at a time. Events with equal
+//! timestamps are delivered in scheduling order (FIFO), which —
+//! together with seeded RNG streams — makes every run
+//! bit-reproducible.
 
 use crate::actor::{Actor, ActorId};
-use crate::executor::Executor;
-use crate::rng::RngFactory;
+use crate::executor::MsgRun;
+use crate::rng::{RngFactory, SimRng};
 use crate::scheduler::Scheduler;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
+use std::collections::VecDeque;
 
 pub use crate::executor::Context;
 
@@ -22,19 +22,24 @@ pub use crate::executor::Context;
 /// See the [`Actor`] docs for a complete usage example.
 pub struct Simulation<M> {
     scheduler: Scheduler<M>,
-    executor: Executor<M>,
+    /// The actor slab, indexed by [`ActorId`]; an actor is checked out
+    /// (`None`) while it handles a run.
+    actors: Vec<Option<Box<dyn Actor<M>>>>,
+    /// Each actor's RNG stream, parallel to `actors`.
+    rngs: Vec<SimRng>,
+    rng_factory: RngFactory,
     trace: TraceLog,
     events_processed: u64,
-    /// Batch-dispatch scratch: the ready ring is swapped in here one
-    /// instant at a time, so steady-state runs reuse the same two
-    /// buffers with zero allocation.
-    scratch: std::collections::VecDeque<(ActorId, M)>,
+    /// The instant being delivered: the scheduler's ready ring is
+    /// swapped in here one instant at a time, so steady-state runs
+    /// reuse the same two buffers with zero allocation.
+    batch: VecDeque<(ActorId, M)>,
 }
 
 impl<M: 'static> std::fmt::Debug for Simulation<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("actors", &self.executor.actor_count())
+            .field("actors", &self.actors.len())
             .field("now", &self.scheduler.now())
             .field("pending", &self.scheduler.pending())
             .field("events_processed", &self.events_processed)
@@ -48,10 +53,12 @@ impl<M: 'static> Simulation<M> {
     pub fn new(master_seed: u64) -> Self {
         Simulation {
             scheduler: Scheduler::new(),
-            executor: Executor::new(master_seed),
+            actors: Vec::new(),
+            rngs: Vec::new(),
+            rng_factory: RngFactory::new(master_seed),
             trace: TraceLog::default(),
             events_processed: 0,
-            scratch: std::collections::VecDeque::new(),
+            batch: VecDeque::new(),
         }
     }
 
@@ -59,21 +66,12 @@ impl<M: 'static> Simulation<M> {
     /// derived from the master seed and `name`, so renaming an actor —
     /// not reordering registration — is what changes its randomness.
     pub fn add_actor(&mut self, name: &str, actor: impl Actor<M>) -> ActorId {
-        self.executor.add_actor(name, actor)
-    }
-
-    /// The registered name of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this simulation.
-    pub fn actor_name(&self, id: ActorId) -> &str {
-        self.executor.actor_name(id)
-    }
-
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.executor.actor_count()
+        let id = ActorId::from_index(
+            u32::try_from(self.actors.len()).expect("more than u32::MAX actors"),
+        );
+        self.actors.push(Some(Box::new(actor)));
+        self.rngs.push(self.rng_factory.stream(name));
+        id
     }
 
     /// Immutable access to an actor's concrete state.
@@ -81,22 +79,17 @@ impl<M: 'static> Simulation<M> {
     /// Returns `None` if the id is unknown, the actor is currently being
     /// dispatched, or the concrete type is not `T`.
     pub fn actor_as<T: 'static>(&self, id: ActorId) -> Option<&T> {
-        self.executor.actor_as(id)
+        self.actors.get(id.index() as usize)?.as_ref()?.as_any().downcast_ref::<T>()
     }
 
     /// Mutable access to an actor's concrete state (see [`Self::actor_as`]).
     pub fn actor_as_mut<T: 'static>(&mut self, id: ActorId) -> Option<&mut T> {
-        self.executor.actor_as_mut(id)
+        self.actors.get_mut(id.index() as usize)?.as_mut()?.as_any_mut().downcast_mut::<T>()
     }
 
-    /// The scheduler half of the kernel.
+    /// The event queue.
     pub fn scheduler(&self) -> &Scheduler<M> {
         &self.scheduler
-    }
-
-    /// The executor half of the kernel.
-    pub fn executor(&self) -> &Executor<M> {
-        &self.executor
     }
 
     /// Schedules `msg` for `target` at absolute time `at` (clamped to
@@ -120,11 +113,6 @@ impl<M: 'static> Simulation<M> {
         self.events_processed
     }
 
-    /// Number of events still queued.
-    pub fn pending_events(&self) -> usize {
-        self.scheduler.pending()
-    }
-
     /// The trace log.
     pub fn trace(&self) -> &TraceLog {
         &self.trace
@@ -135,69 +123,65 @@ impl<M: 'static> Simulation<M> {
         &mut self.trace
     }
 
-    /// The RNG factory, for deriving extra streams outside the actors.
-    pub fn rng_factory(&self) -> RngFactory {
-        self.executor.rng_factory()
-    }
-
-    /// Whether an actor has requested a stop.
-    pub fn is_stopped(&self) -> bool {
-        self.scheduler.is_stopped()
-    }
-
-    /// Runs until the queue drains or a stop is requested. Returns the
-    /// number of events processed by this call.
-    ///
-    /// Each open instant's ready ring is swapped into a reusable
-    /// scratch buffer and delivered as one batch, with consecutive
-    /// same-target events chained through a single checked-out actor
-    /// and context. Delivery order is the scheduler's pop order.
+    /// Runs until the queue drains. Returns the number of events
+    /// processed by this call.
     pub fn run(&mut self) -> u64 {
-        let before = self.events_processed;
-        while !self.scheduler.is_stopped() {
-            if self.scheduler.ready_is_empty() && !self.scheduler.open_next_instant() {
-                break;
-            }
-            self.dispatch_ready_batch();
-        }
-        self.events_processed - before
+        self.deliver_until(None)
     }
 
-    /// Runs until `deadline` (inclusive), the queue drains, or a stop is
-    /// requested. On return, `now()` is exactly `deadline` unless the
-    /// run stopped early. Returns the number of events processed.
+    /// Runs until `deadline` (inclusive) or until the queue drains; on
+    /// return, `now()` is exactly `deadline`. Returns the number of
+    /// events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let before = self.events_processed;
-        while !self.scheduler.is_stopped() {
-            if self.scheduler.ready_is_empty() {
-                if !self.scheduler.has_event_by(deadline) {
-                    break;
-                }
-                let opened = self.scheduler.open_next_instant();
-                debug_assert!(opened, "has_event_by promised an event");
-            }
-            self.dispatch_ready_batch();
-        }
-        if !self.scheduler.is_stopped() && self.now() < deadline {
-            self.scheduler.advance_to(deadline);
-        }
-        self.events_processed - before
+        let delivered = self.deliver_until(Some(deadline));
+        self.scheduler.advance_to(deadline);
+        delivered
     }
 
-    /// Swaps the open instant's ready events into the scratch buffer
-    /// and delivers them as one batch. If a stop interrupts the batch,
-    /// the undelivered remainder goes back to the queue.
-    fn dispatch_ready_batch(&mut self) {
-        self.scheduler.take_ready(&mut self.scratch);
-        self.events_processed += self.executor.dispatch_batch(
-            &mut self.scratch,
-            self.scheduler.now(),
-            &mut self.scheduler,
-            &mut self.trace,
-        );
-        if !self.scratch.is_empty() {
-            self.scheduler.put_back_ready(&mut self.scratch);
+    /// Delivers instant after instant as [`Scheduler::drain_instant`]
+    /// hands them out, until nothing is due by `until`. Returns the
+    /// number of events delivered.
+    ///
+    /// Consecutive same-target events of a batch form a run: the actor
+    /// stays checked out and the [`Context`] is built once per run, and
+    /// one virtual [`Actor::handle_run`] call covers the whole run.
+    /// Sends during delivery go to the scheduler's (empty) ready ring,
+    /// never to the batch, so a run's length can be counted up front.
+    fn deliver_until(&mut self, until: Option<SimTime>) -> u64 {
+        let before = self.events_processed;
+        while self.scheduler.drain_instant(until, &mut self.batch) {
+            self.events_processed += self.batch.len() as u64;
+            let now = self.scheduler.now();
+            while let Some(&(target, _)) = self.batch.front() {
+                let idx = target.index() as usize;
+                let Some(mut actor) = self.actors.get_mut(idx).and_then(Option::take) else {
+                    // Unknown target (unreachable through the public
+                    // kernel API): drop the event.
+                    self.batch.pop_front();
+                    continue;
+                };
+                let run = self.batch.iter().take_while(|(t, _)| *t == target).count();
+                let mut ctx = Context {
+                    now,
+                    self_id: target,
+                    sched: &mut self.scheduler,
+                    trace: &mut self.trace,
+                    rng: &mut self.rngs[idx],
+                };
+                if run == 1 {
+                    // Lone event (fan-out to distinct targets): a plain
+                    // pop beats the run machinery's setup and teardown.
+                    let (_, msg) = self.batch.pop_front().expect("front event is present");
+                    actor.handle(msg, &mut ctx);
+                } else {
+                    let mut msgs = MsgRun { inner: self.batch.drain(..run) };
+                    actor.handle_run(&mut msgs, &mut ctx);
+                    debug_assert_eq!(msgs.remaining(), 0, "handle_run left messages unconsumed");
+                }
+                self.actors[idx] = Some(actor);
+            }
         }
+        self.events_processed - before
     }
 }
 
@@ -225,8 +209,6 @@ mod tests {
                     if self.sent < self.limit {
                         self.sent += 1;
                         ctx.schedule(SimDuration::from_millis(10), self.peer.unwrap(), Msg::Ping);
-                    } else {
-                        ctx.stop();
                     }
                 }
                 Msg::Ping => {}
@@ -263,7 +245,7 @@ mod tests {
         sim.run();
         assert_eq!(sim.actor_as::<Pinger>(pinger).unwrap().sent, 5);
         assert_eq!(sim.actor_as::<Ponger>(ponger).unwrap().received, 5);
-        assert!(sim.is_stopped());
+        assert_eq!(sim.scheduler().pending(), 0);
         // 5 round trips of 10 ms each.
         assert_eq!(sim.now(), SimTime::from_millis(50));
         assert_eq!(sim.trace().by_category("pong").count(), 5);
@@ -276,7 +258,7 @@ mod tests {
         assert_eq!(sim.actor_as::<Ponger>(ponger).unwrap().received, 2);
         assert_eq!(sim.now(), SimTime::from_millis(25));
         // Remaining events still pending.
-        assert!(sim.pending_events() > 0);
+        assert!(sim.scheduler().pending() > 0);
         sim.run();
         assert_eq!(sim.actor_as::<Ponger>(ponger).unwrap().received, 5);
     }

@@ -1,19 +1,19 @@
 //! # mcps-runtime — execution substrate for the `mcps` workspace
 //!
 //! The lowest layer of the workspace: a deterministic discrete-event
-//! kernel split into its two halves, a telemetry bus, and a
-//! shard-parallel runner. Every domain crate builds on these
-//! primitives and imports them from here.
+//! kernel, a telemetry bus, and a shard-parallel runner. Every domain
+//! crate builds on these primitives and imports them from here.
 //!
-//! * [`scheduler`] — hierarchical timer wheel with O(1) scheduling and
-//!   dispatch, FIFO tie-breaking within an instant, and a ready ring
-//!   for batched same-instant delivery (the binary-heap engine it
-//!   replaced survives as [`scheduler::reference`], the lockstep
-//!   conformance oracle).
-//! * [`executor`] — actor slab, per-actor deterministic RNG streams,
-//!   message dispatch ([`executor::Context`]).
-//! * [`kernel`] — [`kernel::Simulation`] joins the two behind the
-//!   classic API.
+//! * [`scheduler`] — hierarchical timer wheel with O(1) scheduling,
+//!   FIFO tie-breaking within an instant, and one instant-batch drain,
+//!   [`scheduler::Scheduler::drain_instant`] (the binary-heap engine
+//!   it replaced survives as [`scheduler::reference`], the lockstep
+//!   conformance oracle, with the same drain).
+//! * [`kernel`] — [`kernel::Simulation`]: the scheduler, the actor
+//!   slab and per-actor deterministic RNG streams, delivering one
+//!   drained instant at a time.
+//! * [`executor`] — what an actor sees during delivery:
+//!   [`executor::Context`] and [`executor::MsgRun`].
 //! * [`telemetry`] — counters, histograms, time series and run
 //!   manifests; the single sink for run statistics, mergeable across
 //!   shards.

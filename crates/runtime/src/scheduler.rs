@@ -1,9 +1,10 @@
 //! Event scheduling: the time-ordered queue half of the kernel.
 //!
 //! [`Scheduler`] owns the event queue, the global sequence numbering
-//! that breaks timestamp ties FIFO, the simulation clock and the stop
-//! flag. It knows nothing about actors — delivering an event to one is
-//! the [`Executor`](crate::executor::Executor)'s job.
+//! that breaks timestamp ties FIFO and the simulation clock. It knows
+//! nothing about actors: [`Scheduler::drain_instant`] hands out one
+//! instant's events at a time, and delivering them is the
+//! [`Simulation`](crate::kernel::Simulation)'s job.
 //!
 //! ## Hierarchical timer wheel + ready ring
 //!
@@ -51,8 +52,10 @@
 //! The original binary-heap engine survives as
 //! [`reference::ReferenceScheduler`], the semantic oracle the wheel is
 //! held to: the property suite in `tests/wheel_lockstep.rs` drives both
-//! through random schedule/pop/advance interleavings and demands
-//! identical clocks, lengths and pop sequences at every step.
+//! through random schedule/drain/advance interleavings and demands
+//! identical clocks, lengths and instant batches at every step. Both
+//! engines expose the same `drain_instant`, the one the kernel runs
+//! on, so the oracle checks the path that actually delivers events.
 
 use crate::actor::ActorId;
 use crate::telemetry::Telemetry;
@@ -83,17 +86,14 @@ const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 /// schedule/pop then wins at scale.
 const SPARSE_MAX: usize = 64;
 
-/// A queued event: deliver `msg` to `target` at time `at`.
+/// A queued event: deliver `msg` to `target` at time `at`; `seq` is
+/// the global FIFO tie-break.
 #[derive(Debug)]
-pub struct Scheduled<M> {
-    /// Delivery time.
-    pub at: SimTime,
-    /// Global FIFO tie-break sequence number.
+pub(crate) struct Scheduled<M> {
+    pub(crate) at: SimTime,
     pub(crate) seq: u64,
-    /// Receiving actor.
-    pub target: ActorId,
-    /// The message itself.
-    pub msg: M,
+    pub(crate) target: ActorId,
+    pub(crate) msg: M,
 }
 
 impl<M> PartialEq for Scheduled<M> {
@@ -175,39 +175,10 @@ impl<M> Level<M> {
     }
 }
 
-/// Counters describing wheel behaviour, for telemetry and the
-/// zero-allocation regression checks in `bench_runtime`.
-///
-/// `max_ready_depth` is sampled at dispatch boundaries (instant opens
-/// and chain-head pops) rather than maintained per push, keeping the
-/// ready-ring hot path bookkeeping-free; for batched workloads the
-/// sample lands right after the burst, so it tracks the true peak
-/// closely.
-#[derive(Debug, Clone, Default)]
-pub struct WheelStats {
-    /// Events scheduled into the wheel/overflow (timed schedulings;
-    /// open-instant fast-path sends bypass the counter and are counted
-    /// by the kernel's `events_processed` instead).
-    pub scheduled: u64,
-    /// Slot cascades (one occupied slot refiled to lower levels).
-    pub cascades: u64,
-    /// Events moved by cascades and clock-advance refiles.
-    pub refiled: u64,
-    /// Events filed beyond the wheel horizon into the overflow list.
-    pub overflow_filed: u64,
-    /// Level-0 slot drains that needed a FIFO repair sort (possible
-    /// only after interleaved cascades; counted to show how rare).
-    pub sort_repairs: u64,
-    /// High-water mark of the ready ring (sampled; see above).
-    pub max_ready_depth: usize,
-    /// Per-level high-water marks of resident events.
-    pub level_high_water: [u32; LEVELS],
-}
-
 /// The event-queue half of the simulation kernel (see the module docs
 /// for the wheel design).
 ///
-/// Invariants between pops:
+/// Invariants between drains:
 /// * every wheel event has `at > now`, except level-0 events sharing
 ///   the current instant while it is open — but those drain to the
 ///   ring when the instant opens, so in practice `at > now` wheel-wide;
@@ -241,11 +212,25 @@ pub struct Scheduler<M> {
     /// Global sequence counter; doubles as the scheduled-events stat.
     seq: u64,
     now: SimTime,
-    stop: bool,
     /// True while events for the instant `now` are being delivered,
     /// i.e. the level-0 slot has been drained for `now`.
     instant_open: bool,
-    stats: WheelStats,
+    // The counters below are read only by `export_telemetry`.
+    /// Slot cascades (one occupied slot refiled to lower levels).
+    cascades: u64,
+    /// Events moved by cascades and clock-advance refiles.
+    refiled: u64,
+    /// Events filed beyond the wheel horizon into the overflow list.
+    overflow_filed: u64,
+    /// Level-0 drains that needed a FIFO repair sort (possible only
+    /// after interleaved cascades).
+    sort_repairs: u64,
+    /// Ready-ring high-water mark, sampled once per drained batch
+    /// rather than per push, keeping the ring hot path
+    /// bookkeeping-free.
+    max_ready_depth: usize,
+    /// Per-level high-water marks of resident events.
+    level_high_water: [u32; LEVELS],
 }
 
 impl<M> std::fmt::Debug for Scheduler<M> {
@@ -277,9 +262,13 @@ impl<M> Scheduler<M> {
             stored: 0,
             seq: 0,
             now: SimTime::ZERO,
-            stop: false,
             instant_open: false,
-            stats: WheelStats::default(),
+            cascades: 0,
+            refiled: 0,
+            overflow_filed: 0,
+            sort_repairs: 0,
+            max_ready_depth: 0,
+            level_high_water: [0; LEVELS],
         }
     }
 
@@ -294,26 +283,6 @@ impl<M> Scheduler<M> {
         self.stored + self.sparse.len() + self.ring.len()
     }
 
-    /// Whether a stop has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.stop
-    }
-
-    /// Requests that the run stop after the event being processed.
-    pub fn request_stop(&mut self) {
-        self.stop = true;
-    }
-
-    /// Wheel behaviour counters accumulated since creation/[`Self::reset`].
-    pub fn stats(&self) -> WheelStats {
-        let mut s = self.stats.clone();
-        // Every accepted event bumps `seq` exactly once, so the
-        // counter doubles as the scheduled-events stat without a
-        // second hot-path increment.
-        s.scheduled = self.seq;
-        s
-    }
-
     /// Files `ev` into the wheel (or overflow) relative to `now`.
     /// `ev.at` must not be in the past.
     fn file(&mut self, ev: Scheduled<M>) {
@@ -323,7 +292,7 @@ impl<M> Scheduler<M> {
         let xor = at ^ now;
         if xor >> HORIZON_BITS != 0 {
             self.overflow.push(ev);
-            self.stats.overflow_filed += 1;
+            self.overflow_filed += 1;
             return;
         }
         // Highest differing 6-bit digit of `at` vs `now` picks the
@@ -334,8 +303,8 @@ impl<M> Scheduler<M> {
         l.slots[slot].push(ev);
         l.occupied |= 1u64 << slot;
         l.events += 1;
-        if l.events > self.stats.level_high_water[level] {
-            self.stats.level_high_water[level] = l.events;
+        if l.events > self.level_high_water[level] {
+            self.level_high_water[level] = l.events;
         }
         self.nonempty |= 1 << level;
     }
@@ -404,7 +373,7 @@ impl<M> Scheduler<M> {
     /// occupied slot's window needs the exact (slot-scanning) time —
     /// this is what keeps deadline-bounded draining O(1) per call while
     /// thousands of far-future events sit parked in coarse slots.
-    pub(crate) fn has_event_by(&self, deadline: SimTime) -> bool {
+    fn has_event_by(&self, deadline: SimTime) -> bool {
         match self.next_event_floor() {
             Some(floor) if floor <= deadline => {}
             _ => return false,
@@ -483,38 +452,44 @@ impl<M> Scheduler<M> {
         self.ring.extend(msgs.into_iter().map(|msg| (target, msg)));
     }
 
-    /// Whether the ready ring holds undelivered events for the open
-    /// instant.
-    #[inline]
-    pub(crate) fn ready_is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Swaps the ready ring into `scratch` (which must be empty), so
-    /// the kernel can drain an instant's events without per-event
-    /// scheduler calls while sends still append to the (now empty)
-    /// ring. The buffers trade places every batch, so both stay warm
-    /// and steady state allocates nothing.
-    #[inline]
-    pub(crate) fn take_ready(&mut self, scratch: &mut VecDeque<(ActorId, M)>) {
-        debug_assert!(scratch.is_empty(), "scratch buffer still holds events");
-        self.sample_ready_depth();
-        std::mem::swap(&mut self.ring, scratch);
-    }
-
-    /// Returns undelivered `scratch` events to the queue after a stop
-    /// interrupted a batch. The scratch events are older than anything
-    /// sent since the swap, so they go back in front. Cold path.
-    pub(crate) fn put_back_ready(&mut self, scratch: &mut VecDeque<(ActorId, M)>) {
-        scratch.extend(self.ring.drain(..));
-        std::mem::swap(&mut self.ring, scratch);
+    /// Moves the next instant's events into `batch` (which must be
+    /// empty) in delivery order and returns `true`, with `now()` at
+    /// their timestamp; returns `false`, leaving the clock alone, when
+    /// nothing is due by `until` (`None`: no bound).
+    ///
+    /// Events scheduled for `now()` while the batch is delivered append
+    /// to the ready ring and make up the next call's batch, so
+    /// delivering each batch in full before draining again yields the
+    /// `(at, seq)` order. The ring and `batch` trade buffers on every
+    /// call, so both stay warm and steady state allocates nothing.
+    pub fn drain_instant(
+        &mut self,
+        until: Option<SimTime>,
+        batch: &mut VecDeque<(ActorId, M)>,
+    ) -> bool {
+        debug_assert!(batch.is_empty(), "batch still holds undelivered events");
+        if self.ring.is_empty() {
+            // An unbounded drain skips the deadline probe, so `run`
+            // pays for no `next_event_time` per instant.
+            if until.is_some_and(|deadline| !self.has_event_by(deadline)) {
+                return false;
+            }
+            if !self.open_next_instant() {
+                return false;
+            }
+        }
+        if self.ring.len() > self.max_ready_depth {
+            self.max_ready_depth = self.ring.len();
+        }
+        std::mem::swap(&mut self.ring, batch);
+        true
     }
 
     /// Advances the clock to the next occupied instant and drains its
     /// events into the ready ring. Returns `false` if nothing is
     /// queued. On `true`, the ring is non-empty and `now` is the
     /// instant's timestamp.
-    pub(crate) fn open_next_instant(&mut self) -> bool {
+    fn open_next_instant(&mut self) -> bool {
         loop {
             if self.nonempty == 0 {
                 if let Some(ev) = self.sparse.pop() {
@@ -531,7 +506,6 @@ impl<M> Scheduler<M> {
                         let e = self.sparse.pop().expect("peeked event exists");
                         self.ring.push_back((e.target, e.msg));
                     }
-                    self.sample_ready_depth();
                     return true;
                 }
                 // Wheel empty: jump the clock to the earliest overflow
@@ -562,7 +536,7 @@ impl<M> Scheduler<M> {
                 // when (rarely) needed.
                 if !v.windows(2).all(|w| w[0].seq < w[1].seq) {
                     v.sort_unstable_by_key(|e| e.seq);
-                    self.stats.sort_repairs += 1;
+                    self.sort_repairs += 1;
                 }
                 l.events -= v.len() as u32;
                 l.occupied &= !(1u64 << slot);
@@ -574,7 +548,6 @@ impl<M> Scheduler<M> {
                     debug_assert!(ev.at == self.now, "level-0 slot mixes instants");
                     self.ring.push_back((ev.target, ev.msg));
                 }
-                self.sample_ready_depth();
                 return true;
             }
             if self.levels[level].slots[slot].len() == 1 {
@@ -609,14 +582,6 @@ impl<M> Scheduler<M> {
         }
     }
 
-    /// Records the current ring depth into the high-water stat. Called
-    /// at dispatch boundaries, not per push (see [`WheelStats`]).
-    fn sample_ready_depth(&mut self) {
-        if self.ring.len() > self.stats.max_ready_depth {
-            self.stats.max_ready_depth = self.ring.len();
-        }
-    }
-
     /// Empties `slots[slot]` of `level`, refiling each event relative
     /// to the (already advanced) clock.
     fn cascade_slot(&mut self, level: usize, slot: usize) {
@@ -629,8 +594,8 @@ impl<M> Scheduler<M> {
         // Take the bucket to appease the borrow checker; swap it back
         // afterwards so its capacity is never lost.
         let mut v = std::mem::take(&mut self.levels[level].slots[slot]);
-        self.stats.cascades += 1;
-        self.stats.refiled += v.len() as u64;
+        self.cascades += 1;
+        self.refiled += v.len() as u64;
         for ev in v.drain(..) {
             self.file(ev);
         }
@@ -645,76 +610,11 @@ impl<M> Scheduler<M> {
         while i < self.overflow.len() {
             if (self.overflow[i].at.as_micros() ^ now) >> HORIZON_BITS == 0 {
                 let ev = self.overflow.swap_remove(i);
-                self.stats.refiled += 1;
+                self.refiled += 1;
                 self.file(ev);
             } else {
                 i += 1;
             }
-        }
-    }
-
-    /// Removes and returns the next due event, advancing the clock to
-    /// its timestamp. Returns `None` if the queue is empty or a stop was
-    /// requested.
-    ///
-    /// Kept small enough to inline into dispatch loops: the two hot
-    /// outcomes (ring pop, sparse-heap pop) return directly and
-    /// everything else tails into the outlined wheel path.
-    #[inline]
-    pub fn pop_due(&mut self) -> Option<Scheduled<M>> {
-        if self.stop {
-            return None;
-        }
-        if let Some((target, msg)) = self.ring.pop_front() {
-            return Some(Scheduled { at: self.now, seq: 0, target, msg });
-        }
-        if self.nonempty == 0 {
-            if let Some(ev) = self.sparse.pop() {
-                // Sparse direct delivery: hand the head back without a
-                // ring round-trip; same-instant followers drain to the
-                // ring so sends into the open instant order after them.
-                self.now = ev.at();
-                self.instant_open = true;
-                if self.sparse.peek().is_some_and(|e| e.at() == self.now) {
-                    self.drain_sparse_run();
-                }
-                return Some(ev.into_scheduled());
-            }
-        }
-        self.pop_due_wheel()
-    }
-
-    /// Moves every sparse-heap event sharing the (just-opened) current
-    /// instant into the ready ring, preserving `seq` order. Outlined:
-    /// timer collisions are rare in sparse workloads.
-    #[inline(never)]
-    fn drain_sparse_run(&mut self) {
-        while self.sparse.peek().is_some_and(|e| e.at() == self.now) {
-            let e = self.sparse.pop().expect("peeked event exists");
-            self.ring.push_back((e.target, e.msg));
-        }
-    }
-
-    /// The wheel half of [`Self::pop_due`]: opens the next instant via
-    /// the filing/cascade machinery. Outlined so the sparse fast path
-    /// stays inlinable.
-    #[inline(never)]
-    fn pop_due_wheel(&mut self) -> Option<Scheduled<M>> {
-        if !self.open_next_instant() {
-            return None;
-        }
-        let (target, msg) = self.ring.pop_front().expect("opened instant is non-empty");
-        Some(Scheduled { at: self.now, seq: 0, target, msg })
-    }
-
-    /// [`Self::pop_due`] bounded by `deadline`: returns `None` (without
-    /// advancing the clock) when the next event is later than
-    /// `deadline` or absent.
-    pub fn pop_due_until(&mut self, deadline: SimTime) -> Option<Scheduled<M>> {
-        if self.has_event_by(deadline) {
-            self.pop_due()
-        } else {
-            None
         }
     }
 
@@ -767,9 +667,13 @@ impl<M> Scheduler<M> {
         self.stored = 0;
         self.seq = 0;
         self.now = SimTime::ZERO;
-        self.stop = false;
         self.instant_open = false;
-        self.stats = WheelStats::default();
+        self.cascades = 0;
+        self.refiled = 0;
+        self.overflow_filed = 0;
+        self.sort_repairs = 0;
+        self.max_ready_depth = 0;
+        self.level_high_water = [0; LEVELS];
     }
 
     /// Publishes the wheel counters onto a [`Telemetry`] bus under
@@ -778,12 +682,12 @@ impl<M> Scheduler<M> {
     /// summary max survives cross-shard merges.
     pub fn export_telemetry(&self, bus: &mut Telemetry, prefix: &str) {
         bus.incr(&format!("{prefix}.events_scheduled"), self.seq);
-        bus.incr(&format!("{prefix}.cascades"), self.stats.cascades);
-        bus.incr(&format!("{prefix}.events_refiled"), self.stats.refiled);
-        bus.incr(&format!("{prefix}.overflow_filed"), self.stats.overflow_filed);
-        bus.incr(&format!("{prefix}.sort_repairs"), self.stats.sort_repairs);
-        bus.observe(&format!("{prefix}.max_ready_depth"), self.stats.max_ready_depth as f64);
-        for (level, &hw) in self.stats.level_high_water.iter().enumerate() {
+        bus.incr(&format!("{prefix}.cascades"), self.cascades);
+        bus.incr(&format!("{prefix}.events_refiled"), self.refiled);
+        bus.incr(&format!("{prefix}.overflow_filed"), self.overflow_filed);
+        bus.incr(&format!("{prefix}.sort_repairs"), self.sort_repairs);
+        bus.observe(&format!("{prefix}.max_ready_depth"), self.max_ready_depth as f64);
+        for (level, &hw) in self.level_high_water.iter().enumerate() {
             if hw > 0 {
                 bus.observe(&format!("{prefix}.level{level}_peak_events"), f64::from(hw));
             }
@@ -795,16 +699,30 @@ impl<M> Scheduler<M> {
 mod tests {
     use super::*;
 
-    fn drain_order(sched: &mut Scheduler<u32>) -> Vec<(SimTime, u32)> {
+    /// Drains one instant due by `until`: its timestamp and messages.
+    fn drain(s: &mut Scheduler<u32>, until: Option<SimTime>) -> Option<(SimTime, Vec<u32>)> {
+        let mut batch = VecDeque::new();
+        s.drain_instant(until, &mut batch)
+            .then(|| (s.now(), batch.into_iter().map(|(_, m)| m).collect()))
+    }
+
+    fn drain_order(s: &mut Scheduler<u32>) -> Vec<(SimTime, u32)> {
         let mut out = Vec::new();
-        while let Some(ev) = sched.pop_due() {
-            out.push((ev.at, ev.msg));
+        while let Some((at, msgs)) = drain(s, None) {
+            out.extend(msgs.into_iter().map(|m| (at, m)));
         }
         out
     }
 
     fn wheel_events<M>(s: &Scheduler<M>) -> usize {
         s.levels.iter().map(|l| l.events as usize).sum()
+    }
+
+    /// A `sched.*` counter as `export_telemetry` publishes it.
+    fn counter<M>(s: &Scheduler<M>, name: &str) -> u64 {
+        let mut bus = Telemetry::new();
+        s.export_telemetry(&mut bus, "sched");
+        bus.counter(&format!("sched.{name}"))
     }
 
     #[test]
@@ -832,14 +750,14 @@ mod tests {
         let a = ActorId::from_index(0);
         s.schedule_at(SimTime::from_secs(1), a, 1);
         s.schedule_at(SimTime::from_secs(1), a, 2);
-        let first = s.pop_due().unwrap();
-        assert_eq!(first.msg, 1);
-        // A cascade send while instant 1s is open: must come after msg 2
-        // but before any later event, without touching the wheel.
+        s.schedule_at(SimTime::from_secs(2), a, 4);
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(1), vec![1, 2])));
+        // A cascade send while instant 1s is open: it forms the next
+        // batch, before any later event, without touching the wheel.
         s.schedule_at(s.now(), a, 3);
         assert_eq!(wheel_events(&s), 0);
-        assert_eq!(s.pop_due().unwrap().msg, 2);
-        assert_eq!(s.pop_due().unwrap().msg, 3);
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(1), vec![3])));
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(2), vec![4])));
     }
 
     #[test]
@@ -847,23 +765,13 @@ mod tests {
         let mut s = Scheduler::new();
         let a = ActorId::from_index(0);
         s.schedule_at(SimTime::from_secs(5), a, 1);
-        let ev = s.pop_due().unwrap();
-        assert_eq!(ev.at, SimTime::from_secs(5));
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(5), vec![1])));
         s.schedule_at(SimTime::ZERO, a, 2);
-        let ev = s.pop_due().unwrap();
-        assert_eq!(ev.at, SimTime::from_secs(5), "past event clamps to now");
-        assert_eq!(ev.msg, 2);
-    }
-
-    #[test]
-    fn stop_halts_delivery() {
-        let mut s = Scheduler::new();
-        let a = ActorId::from_index(0);
-        s.schedule_at(SimTime::ZERO, a, 1);
-        s.request_stop();
-        assert!(s.pop_due().is_none());
-        assert!(s.is_stopped());
-        assert_eq!(s.pending(), 1);
+        assert_eq!(
+            drain(&mut s, None),
+            Some((SimTime::from_secs(5), vec![2])),
+            "past event clamps to now"
+        );
     }
 
     #[test]
@@ -871,13 +779,12 @@ mod tests {
         let mut s = Scheduler::new();
         let a = ActorId::from_index(0);
         s.schedule_at(SimTime::from_secs(1), a, 1);
-        assert_eq!(s.pop_due().unwrap().msg, 1);
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(1), vec![1])));
         s.advance_to(SimTime::from_secs(10));
         assert_eq!(s.now(), SimTime::from_secs(10));
         // A schedule at the (new) current time must still be delivered.
         s.schedule_at(SimTime::from_secs(10), a, 2);
-        let ev = s.pop_due().unwrap();
-        assert_eq!((ev.at, ev.msg), (SimTime::from_secs(10), 2));
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(10), vec![2])));
     }
 
     #[test]
@@ -887,8 +794,8 @@ mod tests {
         assert_eq!(s.next_event_time(), None);
         s.schedule_at(SimTime::from_secs(3), a, 1);
         assert_eq!(s.next_event_time(), Some(SimTime::from_secs(3)));
+        drain(&mut s, None).unwrap();
         s.schedule_at(SimTime::from_secs(3), a, 2);
-        s.pop_due().unwrap();
         // msg 2 now sits in the open ring.
         assert_eq!(s.next_event_time(), Some(SimTime::from_secs(3)));
     }
@@ -913,7 +820,7 @@ mod tests {
         assert_eq!(order.len(), SPARSE_MAX + 2);
         assert!(order[..SPARSE_MAX].iter().all(|&(at, _)| at == SimTime::from_micros(1)));
         assert_eq!(&order[SPARSE_MAX..], &[(far, 1), (far2, 3)]);
-        assert!(s.stats().cascades > 0, "co-sloted 48-day events must cascade");
+        assert!(counter(&s, "cascades") > 0, "co-sloted 48-day events must cascade");
     }
 
     #[test]
@@ -925,18 +832,15 @@ mod tests {
         // them into the wheel, which banishes this one to overflow.
         let huge = SimTime::from_micros(100 * 24 * 3600 * 1_000_000);
         s.schedule_at(huge, a, 9);
-        assert_eq!(s.stats().overflow_filed, 0, "a lone event parks in the sparse heap");
+        assert_eq!(counter(&s, "overflow_filed"), 0, "a lone event parks in the sparse heap");
         for i in 0..SPARSE_MAX as u32 {
             s.schedule_at(SimTime::from_secs(1), a, 100 + i);
         }
-        assert_eq!(s.stats().overflow_filed, 1);
+        assert_eq!(counter(&s, "overflow_filed"), 1);
         assert_eq!(s.next_event_time(), Some(SimTime::from_secs(1)));
-        for i in 0..SPARSE_MAX as u32 {
-            let ev = s.pop_due().unwrap();
-            assert_eq!((ev.at, ev.msg), (SimTime::from_secs(1), 100 + i));
-        }
-        let ev = s.pop_due().unwrap();
-        assert_eq!((ev.at, ev.msg), (huge, 9));
+        let first = (100..100 + SPARSE_MAX as u32).collect();
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(1), first)));
+        assert_eq!(drain(&mut s, None), Some((huge, vec![9])));
         assert_eq!(s.now(), huge);
     }
 
@@ -981,7 +885,7 @@ mod tests {
         // the sparse regime and never touches the filing machinery.
         s.schedule_at(SimTime::from_secs(10), a, 7);
         assert_eq!(wheel_events(&s), 0, "post-drain schedules re-enter the sparse heap");
-        assert_eq!(s.pop_due().unwrap().msg, 7);
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(10), vec![7])));
     }
 
     #[test]
@@ -991,22 +895,25 @@ mod tests {
         for i in 0..100u32 {
             s.schedule_at(SimTime::from_millis(u64::from(i)), a, i);
         }
-        while s.pop_due().is_some() {}
+        drain_order(&mut s);
         s.reset();
         assert_eq!(s.now(), SimTime::ZERO);
         assert_eq!(s.pending(), 0);
         s.schedule_at(SimTime::from_millis(1), a, 7);
-        assert_eq!(s.pop_due().unwrap().msg, 7);
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_millis(1), vec![7])));
     }
 
     #[test]
-    fn pop_due_until_respects_deadline() {
+    fn drain_instant_respects_deadline() {
         let mut s = Scheduler::new();
         let a = ActorId::from_index(0);
         s.schedule_at(SimTime::from_secs(5), a, 1);
-        assert!(s.pop_due_until(SimTime::from_secs(4)).is_none());
-        assert_eq!(s.now(), SimTime::ZERO, "failed bounded pop must not move the clock");
-        assert_eq!(s.pop_due_until(SimTime::from_secs(5)).unwrap().msg, 1);
+        assert_eq!(drain(&mut s, Some(SimTime::from_secs(4))), None);
+        assert_eq!(s.now(), SimTime::ZERO, "failed bounded drain must not move the clock");
+        assert_eq!(
+            drain(&mut s, Some(SimTime::from_secs(5))),
+            Some((SimTime::from_secs(5), vec![1]))
+        );
     }
 
     #[test]
@@ -1014,7 +921,7 @@ mod tests {
         let mut s = Scheduler::new();
         let a = ActorId::from_index(0);
         s.schedule_at(SimTime::from_secs(1), a, 1u32);
-        s.pop_due().unwrap();
+        drain(&mut s, None).unwrap();
         let mut bus = Telemetry::new();
         s.export_telemetry(&mut bus, "sched");
         assert_eq!(bus.counter("sched.events_scheduled"), 1);

@@ -8,11 +8,12 @@
 //! against their reference engines.
 //!
 //! Delivery order is the total order `(at, seq)` — earliest time
-//! first, FIFO within an instant. The heap drains all events due at
-//! the current instant into a FIFO batch in one go; while that instant
-//! is open, newly scheduled same-time events append to the batch
-//! directly (their sequence numbers are globally maximal), so the heap
-//! holds only strictly later events.
+//! first, FIFO within an instant. [`ReferenceScheduler::drain_instant`]
+//! has the wheel's contract: it pops every event due at the next
+//! instant off the heap and hands them out as one FIFO batch; while
+//! that instant is open, newly scheduled same-time events append to
+//! the pending batch directly (their sequence numbers are globally
+//! maximal), so the heap holds only strictly later events.
 
 use super::Scheduled;
 use crate::actor::ActorId;
@@ -23,10 +24,9 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Debug)]
 pub struct ReferenceScheduler<M> {
     heap: BinaryHeap<Scheduled<M>>,
-    batch: VecDeque<Scheduled<M>>,
+    batch: VecDeque<(ActorId, M)>,
     seq: u64,
     now: SimTime,
-    stop: bool,
     /// True while events for the instant `now` are being delivered,
     /// i.e. the heap has been drained for `now`.
     instant_open: bool,
@@ -46,7 +46,6 @@ impl<M> ReferenceScheduler<M> {
             batch: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
-            stop: false,
             instant_open: false,
         }
     }
@@ -61,16 +60,6 @@ impl<M> ReferenceScheduler<M> {
         self.heap.len() + self.batch.len()
     }
 
-    /// Whether a stop has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.stop
-    }
-
-    /// Requests that the run stop after the event being processed.
-    pub fn request_stop(&mut self) {
-        self.stop = true;
-    }
-
     /// The delivery time of the next queued event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
         if !self.batch.is_empty() {
@@ -83,16 +72,15 @@ impl<M> ReferenceScheduler<M> {
     /// the present if `at` is already past.
     pub fn schedule_at(&mut self, at: SimTime, target: ActorId, msg: M) {
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        let ev = Scheduled { at, seq, target, msg };
         if self.instant_open && at == self.now {
-            // `seq` is globally maximal, so appending keeps the batch in
-            // `(at, seq)` order; the heap holds only later events.
-            self.batch.push_back(ev);
+            // The event's `seq` would be globally maximal, so appending
+            // keeps the batch in `(at, seq)` order; the heap holds only
+            // later events.
+            self.batch.push_back((target, msg));
         } else {
-            self.heap.push(ev);
+            self.heap.push(Scheduled { at, seq: self.seq, target, msg });
         }
+        self.seq += 1;
     }
 
     /// Schedules `msg` for `target` after `delay` from now.
@@ -100,42 +88,38 @@ impl<M> ReferenceScheduler<M> {
         self.schedule_at(self.now.saturating_add(delay), target, msg);
     }
 
-    /// Removes and returns the next due event, advancing the clock to
-    /// its timestamp. Returns `None` if the queue is empty or a stop was
-    /// requested.
-    pub fn pop_due(&mut self) -> Option<Scheduled<M>> {
-        if self.stop {
-            return None;
-        }
-        if let Some(ev) = self.batch.pop_front() {
-            return Some(ev);
-        }
-        // Open the next instant: advance to the earliest heap event and
-        // drain everything that shares its timestamp into the batch.
-        // The heap yields equal-time events in ascending `seq`, so the
-        // batch comes out FIFO.
-        let first = self.heap.pop()?;
-        debug_assert!(first.at >= self.now, "event queue went backwards");
-        self.now = first.at;
-        self.instant_open = true;
-        while let Some(next) = self.heap.peek() {
-            if next.at != self.now {
-                break;
+    /// Moves the next instant's events into `batch` (which must be
+    /// empty) in delivery order and returns `true`, with `now()` at
+    /// their timestamp; returns `false`, leaving the clock alone, when
+    /// nothing is due by `until` (`None`: no bound). The contract of
+    /// [`Scheduler::drain_instant`](super::Scheduler::drain_instant).
+    pub fn drain_instant(
+        &mut self,
+        until: Option<SimTime>,
+        batch: &mut VecDeque<(ActorId, M)>,
+    ) -> bool {
+        debug_assert!(batch.is_empty(), "batch still holds undelivered events");
+        if self.batch.is_empty() {
+            // Open the next instant: advance to the earliest heap event
+            // and pop everything that shares its timestamp. The heap
+            // yields equal-time events in ascending `seq`, so the batch
+            // comes out FIFO.
+            match self.heap.peek() {
+                Some(ev) if until.is_none_or(|deadline| ev.at <= deadline) => {}
+                _ => return false,
             }
-            let next = self.heap.pop().expect("peeked event exists");
-            self.batch.push_back(next);
+            let first = self.heap.pop().expect("peeked event exists");
+            debug_assert!(first.at >= self.now, "event queue went backwards");
+            self.now = first.at;
+            self.instant_open = true;
+            self.batch.push_back((first.target, first.msg));
+            while self.heap.peek().is_some_and(|next| next.at == self.now) {
+                let next = self.heap.pop().expect("peeked event exists");
+                self.batch.push_back((next.target, next.msg));
+            }
         }
-        Some(first)
-    }
-
-    /// [`Self::pop_due`] bounded by `deadline`: returns `None` (without
-    /// advancing the clock) when the next event is later than
-    /// `deadline` or absent.
-    pub fn pop_due_until(&mut self, deadline: SimTime) -> Option<Scheduled<M>> {
-        match self.next_event_time() {
-            Some(t) if t <= deadline => self.pop_due(),
-            _ => None,
-        }
+        std::mem::swap(&mut self.batch, batch);
+        true
     }
 
     /// Advances the clock to `deadline` with no events to deliver (used
@@ -155,12 +139,14 @@ impl<M> ReferenceScheduler<M> {
 mod tests {
     use super::*;
 
-    fn drain_order(sched: &mut ReferenceScheduler<u32>) -> Vec<(SimTime, u32)> {
-        let mut out = Vec::new();
-        while let Some(ev) = sched.pop_due() {
-            out.push((ev.at, ev.msg));
-        }
-        out
+    /// Drains one instant due by `until`: its timestamp and messages.
+    fn drain(
+        s: &mut ReferenceScheduler<u32>,
+        until: Option<SimTime>,
+    ) -> Option<(SimTime, Vec<u32>)> {
+        let mut batch = VecDeque::new();
+        s.drain_instant(until, &mut batch)
+            .then(|| (s.now(), batch.into_iter().map(|(_, m)| m).collect()))
     }
 
     #[test]
@@ -171,15 +157,9 @@ mod tests {
         s.schedule_at(SimTime::from_secs(1), a, 20);
         s.schedule_at(SimTime::from_secs(2), a, 11);
         s.schedule_at(SimTime::from_secs(1), a, 21);
-        assert_eq!(
-            drain_order(&mut s),
-            vec![
-                (SimTime::from_secs(1), 20),
-                (SimTime::from_secs(1), 21),
-                (SimTime::from_secs(2), 10),
-                (SimTime::from_secs(2), 11),
-            ]
-        );
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(1), vec![20, 21])));
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(2), vec![10, 11])));
+        assert_eq!(drain(&mut s, None), None);
     }
 
     #[test]
@@ -188,23 +168,24 @@ mod tests {
         let a = ActorId::from_index(0);
         s.schedule_at(SimTime::from_secs(1), a, 1);
         s.schedule_at(SimTime::from_secs(1), a, 2);
-        let first = s.pop_due().unwrap();
-        assert_eq!(first.msg, 1);
-        // A cascade send while instant 1s is open: must come after msg 2
-        // but before any later event, without touching the heap.
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(1), vec![1, 2])));
+        // A cascade send while instant 1s is open: it forms the next
+        // batch without touching the heap.
         s.schedule_at(s.now(), a, 3);
         assert_eq!(s.heap.len(), 0);
-        assert_eq!(s.pop_due().unwrap().msg, 2);
-        assert_eq!(s.pop_due().unwrap().msg, 3);
+        assert_eq!(drain(&mut s, None), Some((SimTime::from_secs(1), vec![3])));
     }
 
     #[test]
-    fn pop_due_until_respects_deadline() {
+    fn drain_instant_respects_deadline() {
         let mut s = ReferenceScheduler::new();
         let a = ActorId::from_index(0);
         s.schedule_at(SimTime::from_secs(5), a, 1);
-        assert!(s.pop_due_until(SimTime::from_secs(4)).is_none());
-        assert_eq!(s.now(), SimTime::ZERO, "failed bounded pop must not move the clock");
-        assert_eq!(s.pop_due_until(SimTime::from_secs(5)).unwrap().msg, 1);
+        assert_eq!(drain(&mut s, Some(SimTime::from_secs(4))), None);
+        assert_eq!(s.now(), SimTime::ZERO, "failed bounded drain must not move the clock");
+        assert_eq!(
+            drain(&mut s, Some(SimTime::from_secs(5))),
+            Some((SimTime::from_secs(5), vec![1]))
+        );
     }
 }
