@@ -24,6 +24,12 @@
 #      its actors, the wheel's counters reach the world only through
 #      export_telemetry, and events leave the wheel only through
 #      Scheduler::drain_instant
+#   1f. cores keep only decision state          — no .rs file may name the
+#      removed histories and shadow structures (DeadlineTracker,
+#      FreshnessMonitor, hb_rtt_ms, degraded_log, permit_log,
+#      failsafe_log, epoch_senders) or Telemetry::merge_many: the cores
+#      emit typed Records, drivers that want them keep a History, and
+#      the telemetry bus has one by-move merge
 #   2. cargo clippy --workspace -D warnings     — lints, all targets
 #   2a. cargo doc --workspace --no-deps         — rustdoc with -D warnings:
 #      no broken, private or ambiguous intra-doc links
@@ -112,6 +118,12 @@ fi
 echo "== one way through the kernel (no Executor, WheelStats or stop API) =="
 if git grep -nE '\bExecutor\b|WheelStats|request_stop|stop_requested|put_back_ready|into_leftover' -- '*.rs'; then
     echo "Simulation owns its actors and drains the wheel through Scheduler::drain_instant"
+    exit 1
+fi
+
+echo "== cores keep only decision state (no histories in the cores) =="
+if git grep -nE 'DeadlineTracker|FreshnessMonitor|hb_rtt_ms|degraded_log|permit_log|failsafe_log|epoch_senders|merge_many' -- '*.rs'; then
+    echo "cores emit Records and drivers keep a History; Telemetry has one by-move merge"
     exit 1
 fi
 

@@ -152,11 +152,6 @@ impl FusionAlarm {
         self.active
     }
 
-    /// The current fused danger score (diagnostic).
-    pub fn fused_score(&self) -> f64 {
-        self.score_now().0
-    }
-
     fn score_now(&self) -> (f64, usize) {
         let mut total = 0.0;
         let mut corroborating = 0;

@@ -6,7 +6,9 @@
 //! 1. **Engine throughput** — both engines run identical deterministic
 //!    workloads at the scheduler API level (schedule and
 //!    `drain_instant`, the kernel's instant-batch drain; no actors);
-//!    the figure is events delivered per wall second. Workloads:
+//!    the figure is events delivered per wall second, from the median
+//!    of [`REPS`] repetitions that alternate which engine runs first
+//!    (one repetition with `--quick`). Workloads:
 //!    `pure_periodic` (sparse periodic timers, the fabric's steady
 //!    state), `mixed_horizon` (events filed across every wheel level
 //!    plus the beyond-horizon overflow), `cancel_heavy` (schedule-many
@@ -20,7 +22,8 @@
 //! 2. **Kernel batched dispatch** — the full `Simulation` running the
 //!    same burst workload as the `runtime/batched_dispatch/1024`
 //!    criterion bench (500 instants × 1024 same-instant messages), so
-//!    the committed events/s figure is directly comparable.
+//!    the committed events/s figure (median of 15 runs, 3 with
+//!    `--quick`) is directly comparable.
 //! 3. **E1 cohort wall clock** — the PCA-interlock cohort (patients ×
 //!    hours × 4 arms) end to end, through the same
 //!    [`mcps_bench::e1::run_arms`] the `e1_pca_interlock` binary
@@ -36,6 +39,7 @@
 use mcps_bench::{e1, Args};
 use mcps_runtime::prelude::*;
 use mcps_runtime::scheduler::{reference::ReferenceScheduler, Scheduler};
+use mcps_runtime::telemetry::percentile;
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
@@ -86,6 +90,7 @@ struct Report {
 #[derive(Serialize)]
 struct WorkloadReport {
     name: &'static str,
+    reps: u64,
     events: u64,
     wheel_ms: f64,
     heap_ms: f64,
@@ -100,7 +105,7 @@ struct SimBatchedReport {
     rounds: u64,
     per_round: u64,
     iters: u64,
-    best_ms: f64,
+    median_ms: f64,
     events_per_sec: f64,
 }
 
@@ -276,28 +281,37 @@ fn same_instant_burst<E: Engine + ?Sized>(e: &mut E, instants: u64) -> (u64, u64
     (popped, h)
 }
 
-/// Times `work` on both engines (best of `iters`), asserting the
-/// delivery sequences hash identically — the heap is the conformance
-/// oracle.
-fn compare_engines<W>(name: &'static str, iters: u64, work: W) -> WorkloadReport
+/// Engine repetitions per workload in full mode.
+const REPS: u64 = 7;
+
+/// Times `work` on both engines (median of `reps`, alternating which
+/// engine runs first so neither always inherits the other's cache and
+/// frequency state), asserting the delivery sequences hash identically
+/// — the heap is the conformance oracle.
+fn compare_engines<W>(name: &'static str, reps: u64, work: W) -> WorkloadReport
 where
     W: Fn(&mut dyn Engine) -> (u64, u64),
 {
-    let mut wheel_ms = f64::INFINITY;
-    let mut heap_ms = f64::INFINITY;
+    let mut wheel_runs = Vec::new();
+    let mut heap_runs = Vec::new();
     let mut wheel_out = (0, 0);
     let mut heap_out = (0, 0);
-    for _ in 0..iters {
-        let mut w: Scheduler<u64> = Scheduler::new();
-        let t0 = Instant::now();
-        wheel_out = work(&mut w);
-        wheel_ms = wheel_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-
-        let mut r: ReferenceScheduler<u64> = ReferenceScheduler::new();
-        let t0 = Instant::now();
-        heap_out = work(&mut r);
-        heap_ms = heap_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    for rep in 0..reps {
+        for wheel in [rep % 2 == 0, rep % 2 == 1] {
+            if wheel {
+                let mut w: Scheduler<u64> = Scheduler::new();
+                let t0 = Instant::now();
+                wheel_out = work(&mut w);
+                wheel_runs.push(t0.elapsed().as_secs_f64() * 1e3);
+            } else {
+                let mut r: ReferenceScheduler<u64> = ReferenceScheduler::new();
+                let t0 = Instant::now();
+                heap_out = work(&mut r);
+                heap_runs.push(t0.elapsed().as_secs_f64() * 1e3);
+            }
+        }
     }
+    let (wheel_ms, heap_ms) = (percentile(&wheel_runs, 50.0), percentile(&heap_runs, 50.0));
     assert_eq!(
         wheel_out, heap_out,
         "{name}: wheel and heap delivery sequences diverged — conformance failure"
@@ -305,6 +319,7 @@ where
     let (events, hash) = wheel_out;
     let report = WorkloadReport {
         name,
+        reps,
         events,
         wheel_ms,
         heap_ms,
@@ -366,7 +381,7 @@ impl Actor<Fan> for Sink {
 fn sim_batched(iters: u64) -> SimBatchedReport {
     const ROUNDS: u64 = 500;
     const PER_ROUND: u64 = 1024;
-    let mut best_ms = f64::INFINITY;
+    let mut runs = Vec::new();
     for _ in 0..iters {
         let t0 = Instant::now();
         let mut sim: Simulation<Fan> = Simulation::new(0);
@@ -375,20 +390,21 @@ fn sim_batched(iters: u64) -> SimBatchedReport {
         let burst = sim.add_actor("burst", Burst { sink, per_round: PER_ROUND, rounds: ROUNDS });
         sim.schedule(SimTime::ZERO, burst, Fan::Tick);
         sim.run();
-        best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        runs.push(t0.elapsed().as_secs_f64() * 1e3);
         assert_eq!(sim.actor_as::<Sink>(sink).unwrap().received, ROUNDS * PER_ROUND);
     }
+    let median_ms = percentile(&runs, 50.0);
     let report = SimBatchedReport {
         rounds: ROUNDS,
         per_round: PER_ROUND,
         iters,
-        best_ms,
-        events_per_sec: (ROUNDS * PER_ROUND) as f64 / (best_ms / 1e3),
+        median_ms,
+        events_per_sec: (ROUNDS * PER_ROUND) as f64 / (median_ms / 1e3),
     };
     println!(
-        "  sim_batched_1024: {:>9} events | best {:>8.3} ms | {:>5.1} M events/s",
+        "  sim_batched_1024: {:>9} events | median {:>8.3} ms | {:>5.1} M events/s",
         ROUNDS * PER_ROUND,
-        report.best_ms,
+        report.median_ms,
         report.events_per_sec / 1e6,
     );
     report
@@ -458,7 +474,7 @@ fn main() {
     let out_path = args.get_str("out", "BENCH_runtime.json");
     let max_ms = args.get_f64("max-ms", f64::INFINITY);
     let scale = args.get_u64("events", if quick { 100_000 } else { 2_000_000 });
-    let iters = if quick { 1 } else { 3 };
+    let reps = if quick { 1 } else { REPS };
 
     let start = Instant::now();
 
@@ -466,10 +482,10 @@ fn main() {
     let allocs = steady_state_allocs();
 
     let engines = vec![
-        compare_engines("pure_periodic", iters, |e| pure_periodic(e, scale)),
-        compare_engines("mixed_horizon", iters, |e| mixed_horizon(e, scale / 2)),
-        compare_engines("cancel_heavy", iters, |e| cancel_heavy(e, scale / 40)),
-        compare_engines("same_instant_burst", iters, |e| same_instant_burst(e, scale / 1_000)),
+        compare_engines("pure_periodic", reps, |e| pure_periodic(e, scale)),
+        compare_engines("mixed_horizon", reps, |e| mixed_horizon(e, scale / 2)),
+        compare_engines("cancel_heavy", reps, |e| cancel_heavy(e, scale / 40)),
+        compare_engines("same_instant_burst", reps, |e| same_instant_burst(e, scale / 1_000)),
     ];
     let sim = sim_batched(if quick { 3 } else { 15 });
     let e1 = if quick { e1_cohort(3, 1.0) } else { e1_cohort(12, 1.0) };

@@ -64,7 +64,7 @@ fn run_cell_with(
     for out in outcomes {
         severe += out.patient.secs_below_severe;
         analgesia += out.patient.frac_adequate_analgesia;
-        bus.merge_owned(out.telemetry);
+        bus.merge(out.telemetry);
     }
     Cell {
         severe_secs: severe / patients as f64,

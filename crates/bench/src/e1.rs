@@ -95,7 +95,7 @@ fn run_arm(
     bus.annotate("hours", hours.to_string());
     bus.annotate("proxy_per_hour", proxy.to_string());
     for shard in shards {
-        bus.merge_owned(shard);
+        bus.merge(shard);
     }
     bus
 }

@@ -78,11 +78,6 @@ impl TciController {
         TciController { observer: PkModel::new(PkParams::for_weight_kg(weight_kg)), target_ce }
     }
 
-    /// The observer's current effect-site estimate.
-    pub fn estimated_ce(&self) -> f64 {
-        self.observer.effect_site_conc()
-    }
-
     /// The target effect-site concentration.
     pub fn target_ce(&self) -> f64 {
         self.target_ce

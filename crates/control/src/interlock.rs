@@ -21,7 +21,6 @@ use mcps_alarms::fusion::FusionAlarm;
 use mcps_alarms::plausibility::{FlatlineConfig, PlausibilityMonitor};
 use mcps_alarms::threshold::ThresholdAlarm;
 use mcps_alarms::trend::{DeteriorationTrend, TrendConfig};
-use mcps_net::monitor::FreshnessMonitor;
 use mcps_patient::vitals::VitalKind;
 use mcps_runtime::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -157,7 +156,8 @@ pub enum DenyReason {
 pub struct PcaInterlock {
     config: InterlockConfig,
     detector: Detector,
-    freshness: FreshnessMonitor,
+    /// Last arrival and value per stream: the detector's input and the
+    /// freshness check's clock.
     latest: BTreeMap<VitalKind, (SimTime, f64)>,
     plausibility: PlausibilityMonitor,
     pump_stopped: bool,
@@ -186,7 +186,6 @@ impl PcaInterlock {
         };
         PcaInterlock {
             detector,
-            freshness: FreshnessMonitor::new(config.freshness_timeout),
             latest: BTreeMap::new(),
             plausibility: PlausibilityMonitor::new(FlatlineConfig::default()),
             pump_stopped: false,
@@ -206,7 +205,6 @@ impl PcaInterlock {
 
     /// Records an arriving measurement.
     pub fn on_measurement(&mut self, now: SimTime, kind: VitalKind, value: f64) {
-        self.freshness.observe(&kind.to_string(), now);
         self.latest.insert(kind, (now, value));
         if self.config.plausibility_check {
             self.plausibility.observe(now, kind, value);
@@ -222,13 +220,14 @@ impl PcaInterlock {
         self.config.required_streams.iter().flatten().any(|k| stuck.contains(k))
     }
 
-    /// Whether any *required* stream is stale at `now`.
+    /// Whether any *required* stream is stale at `now`. A stream that
+    /// has never arrived is stale: absence of data must fail safe.
     pub fn data_stale(&self, now: SimTime) -> bool {
-        self.config
-            .required_streams
-            .iter()
-            .flatten()
-            .any(|k| self.freshness.is_stale(&k.to_string(), now))
+        self.config.required_streams.iter().flatten().any(|k| {
+            self.latest
+                .get(k)
+                .is_none_or(|&(t, _)| now.saturating_since(t) > self.config.freshness_timeout)
+        })
     }
 
     /// Current deny reason, if permission is being withheld.

@@ -6,6 +6,12 @@
 //! monitors publish vitals to topics, the pump consumes supervisor
 //! commands, and all devices announce their capability profile at
 //! power-on so the device manager can associate them.
+//!
+//! The sans-io cores keep no history. The [`PumpActor`] (like the
+//! [`Supervisor`](crate::supervisor::Supervisor) adapter) stamps the
+//! records its core emits into a [`History`]; scenario harvests read
+//! the pump's permission and fail-safe transitions from
+//! [`PumpActor::history`].
 
 use mcps_device::faults::FaultPlan;
 use mcps_device::monitor::VitalsMonitor;
@@ -21,6 +27,7 @@ use mcps_runtime::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 use crate::body::PatientBody;
+use crate::history::History;
 use crate::msg::{IceCommand, IceMsg, NetAddress, NetOp, NetPayload};
 use crate::netctl::topics;
 use crate::pump_core::{PumpCore, PumpInput};
@@ -55,7 +62,9 @@ fn announce(
 /// Replays a sans-io core's buffered outputs onto the kernel, as the
 /// [`PumpActor`] and [`Supervisor`](crate::supervisor::Supervisor)
 /// adapters both do after each `handle`: traces first, in emission
-/// order, then sends from `from` to the network controller. Acks go out
+/// order, then the decision records into the adapter's `history`
+/// stamped with the current instant, then sends from `from` to the
+/// network controller. Acks go out
 /// under `fault`'s ack-plane faults at the current instant — held back
 /// by [`FaultPlan::ack_delay`], doubled by [`FaultPlan::ack_duplicated`];
 /// every other payload is sent at once. (Supervisors never emit acks.)
@@ -65,11 +74,13 @@ pub(crate) fn replay(
     from: EndpointId,
     fault: &FaultPlan,
     out: &mut CoreOutputs,
+    history: &mut History,
 ) {
     for (category, message) in out.traces.drain(..) {
         ctx.trace(category, message);
     }
     let now = ctx.now();
+    history.extend(now, &out.records);
     for (to, payload) in out.sends.drain(..) {
         let is_ack = matches!(payload, NetPayload::Ack { .. });
         let msg = IceMsg::Net(NetOp::Send { from, to, payload });
@@ -90,18 +101,20 @@ pub(crate) fn replay(
 /// The PCA pump on the network: a thin adapter hosting a [`PumpCore`].
 ///
 /// Configure the core (supervision, faults), then wrap it with
-/// [`PumpActor::from_core`]; read counters and logs through
-/// [`PumpActor::core`]. On each event the adapter maps the kernel
+/// [`PumpActor::from_core`]; read counters through [`PumpActor::core`]
+/// and the permission and fail-safe transitions through
+/// [`PumpActor::history`]. On each event the adapter maps the kernel
 /// message to a [`PumpInput`], infuses the drug a tick delivers into
 /// its [`PatientBody`], and replays the core's outputs with `replay`
-/// — traces, then sends, with the controller's ack-plane faults applied
-/// to the acks — before re-arming the tick.
+/// — traces, records, then sends, with the controller's ack-plane
+/// faults applied to the acks — before re-arming the tick.
 #[derive(Debug)]
 pub struct PumpActor {
     core: PumpCore,
     body: PatientBody,
     netctl: ActorId,
     out: CoreOutputs,
+    history: History,
 }
 
 impl PumpActor {
@@ -112,7 +125,7 @@ impl PumpActor {
 
     /// Wraps an already configured core attached to `body`.
     pub fn from_core(core: PumpCore, body: PatientBody, netctl: ActorId) -> Self {
-        PumpActor { core, body, netctl, out: CoreOutputs::new() }
+        PumpActor { core, body, netctl, out: CoreOutputs::new(), history: History::new() }
     }
 
     /// See [`PumpCore::with_scope`].
@@ -121,9 +134,14 @@ impl PumpActor {
         self
     }
 
-    /// The hosted core (counters, logs and the wrapped pump).
+    /// The hosted core (counters and the wrapped pump).
     pub fn core(&self) -> &PumpCore {
         &self.core
+    }
+
+    /// The pump's permission and fail-safe transitions so far.
+    pub fn history(&self) -> &History {
+        &self.history
     }
 }
 
@@ -138,13 +156,13 @@ impl Actor<IceMsg> for PumpActor {
             }) => PumpInput::Command { from, id, epoch, command },
             IceMsg::Net(_) => return,
         };
-        let PumpActor { core, body, netctl, out } = self;
+        let PumpActor { core, body, netctl, out, history } = self;
         out.begin(ctx.trace_enabled());
         let delivered = core.handle(ctx.now(), input, out);
         if delivered > 0.0 {
             body.infuse(delivered);
         }
-        replay(ctx, *netctl, core.endpoint(), core.fault(), out);
+        replay(ctx, *netctl, core.endpoint(), core.fault(), out, history);
         if input == PumpInput::Tick {
             ctx.schedule_self(PumpCore::STEP, IceMsg::Tick);
         }

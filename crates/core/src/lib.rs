@@ -14,6 +14,8 @@
 //!   patient actor (physiology advance, button presses).
 //! * [`pump_core`] — the sans-io pump state machine ([`PumpCore`]) the
 //!   sim pump actor and the live bed client both run.
+//! * [`history`] — the typed [`Record`]s the cores emit and the
+//!   [`History`] a driver keeps of them.
 //! * [`actors`] — network wrappers for pumps, monitors, ventilators and
 //!   x-ray machines.
 //! * [`manager`] — on-demand device association.
@@ -44,6 +46,7 @@ pub mod actors;
 pub mod app;
 pub mod apps;
 pub mod body;
+pub mod history;
 pub mod manager;
 pub mod msg;
 pub mod netctl;
@@ -55,6 +58,7 @@ pub mod vecmap;
 pub use app::{AppCtx, ClinicalApp};
 pub use apps::{PcaSafetyApp, WardMonitorApp, WorkflowStyle, XRayCoordinatorApp};
 pub use body::{PatientActor, PatientBody};
+pub use history::{History, Record};
 pub use manager::{AssociationOutcome, DeviceManager};
 pub use msg::{IceCommand, IceMsg, NetAddress, NetOp, NetPayload};
 pub use netctl::NetworkController;

@@ -2,14 +2,16 @@
 //!
 //! [`PumpCore`] is the PCA pump's decision machinery — announce
 //! cadence, epoch fence and split-brain audit, command dedup, the
-//! device-local fail-safe watchdog and the permission log — as a pure
+//! device-local fail-safe watchdog and permission tracking — as a pure
 //! state machine in the [`SupervisorCore`](crate::SupervisorCore)
 //! shape: `handle(now, input, &mut outputs)`, no I/O, no clock. The
 //! sim [`PumpActor`](crate::actors::PumpActor) adapter and the live
 //! `mcps-serve` bed client both drive it, so the pump the simulator
 //! verifies is the pump the bed runs. The driver owns the tick cadence:
 //! a tick every [`PumpCore::STEP`], and every tick due by `t` fires
-//! before an input handled at `t`.
+//! before an input handled at `t`. Permission and fail-safe transitions
+//! leave as [`Record`]s; a driver that wants them keeps a
+//! [`History`](crate::history::History).
 
 use mcps_device::faults::FaultPlan;
 use mcps_device::profile::DeviceProfile;
@@ -19,6 +21,7 @@ use mcps_runtime::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::actors::ANNOUNCE_PERIOD;
+use crate::history::Record;
 use crate::msg::{IceCommand, NetAddress, NetPayload};
 use crate::netctl::topics;
 use crate::supervisor::sans_io::CoreOutputs;
@@ -89,7 +92,8 @@ impl CommandDedup {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PumpInput {
     /// The periodic [`PumpCore::STEP`] tick (announces, infusion,
-    /// permission log, watchdog). The *driver* owns the re-arming.
+    /// permission transitions, watchdog). The *driver* owns the
+    /// re-arming.
     Tick,
     /// A press of the bolus demand button.
     PressButton,
@@ -127,8 +131,6 @@ pub struct PumpCore {
     /// scripted scenarios keep the fixed cadence).
     fast_reannounce: bool,
     was_permitted: bool,
-    /// Transitions of the delivery-permission state: `(instant, permitted)`.
-    permit_log: Vec<(SimTime, bool)>,
     decisions: BTreeMap<&'static str, u32>,
     /// Whether the fail-safe watchdog runs (off for e.g. the open-loop
     /// arm, which has no supervising interlock to feed it).
@@ -140,15 +142,15 @@ pub struct PumpCore {
     /// Whether the local fail-safe latch is engaged.
     local_failsafe: bool,
     local_failsafe_entries: u64,
-    /// Latch transitions: `(instant, engaged)`.
-    failsafe_log: Vec<(SimTime, bool)>,
     /// Highest supervisor epoch observed; lower-epoch commands are
     /// fenced (dropped without an ack).
     max_epoch_seen: u64,
     fenced_commands: u64,
-    /// First controller endpoint accepted per epoch — a second distinct
-    /// sender in the same epoch is a split-brain double actuation.
-    epoch_senders: BTreeMap<u64, EndpointId>,
+    /// First controller endpoint accepted in the newest epoch — a
+    /// second distinct sender in that epoch is a split-brain double
+    /// actuation. Older epochs need no entry: their commands are fenced
+    /// before the audit runs.
+    epoch_sender: Option<(u64, EndpointId)>,
     double_actuations: u64,
 }
 
@@ -170,16 +172,14 @@ impl PumpCore {
             last_announce: None,
             fast_reannounce: false,
             was_permitted: false,
-            permit_log: Vec::new(),
             decisions: BTreeMap::new(),
             supervised: false,
             last_supervision: None,
             local_failsafe: false,
             local_failsafe_entries: 0,
-            failsafe_log: Vec::new(),
             max_epoch_seen: 0,
             fenced_commands: 0,
-            epoch_senders: BTreeMap::new(),
+            epoch_sender: None,
             double_actuations: 0,
         }
     }
@@ -252,11 +252,6 @@ impl PumpCore {
         self.local_failsafe_entries
     }
 
-    /// Fail-safe latch transitions: `(instant, engaged)`, oldest first.
-    pub fn failsafe_log(&self) -> &[(SimTime, bool)] {
-        &self.failsafe_log
-    }
-
     /// Stale-epoch commands rejected by the fence.
     pub fn fenced_commands(&self) -> u64 {
         self.fenced_commands
@@ -283,34 +278,12 @@ impl PumpCore {
         &self.decisions
     }
 
-    /// Transitions of the delivery-permission state, oldest first.
-    pub fn permit_log(&self) -> &[(SimTime, bool)] {
-        &self.permit_log
-    }
-
-    /// Whether delivery was permitted at `at`, per the transition log
-    /// (pumps start unpermitted in ticket mode, permitted otherwise;
-    /// the log's first entry reflects the first observed state).
-    pub fn was_permitted_at(&self, at: SimTime) -> bool {
-        self.permit_log
-            .iter()
-            .take_while(|(t, _)| *t <= at)
-            .last()
-            .map(|(_, p)| *p)
-            .unwrap_or(false)
-    }
-
-    /// First instant at or after `at` at which delivery became
-    /// disallowed — used to measure interlock response latency.
-    pub fn first_stop_at_or_after(&self, at: SimTime) -> Option<SimTime> {
-        self.permit_log.iter().find(|(t, p)| *t >= at && !p).map(|(t, _)| *t)
-    }
-
     /// Feeds one timestamped input through the state machine, appending
-    /// sends (the driver stamps the pump's endpoint as their source) and
-    /// lazily built traces to `out`. Returns the drug, in mg, the pump
-    /// delivered since the previous tick (non-zero only on ticks) — the
-    /// driver owns the patient it flows into. `now` must be
+    /// sends (the driver stamps the pump's endpoint as their source),
+    /// lazily built traces and permission/fail-safe records to `out`.
+    /// Returns the drug, in mg, the pump delivered since the previous
+    /// tick (non-zero only on ticks) — the driver owns the patient it
+    /// flows into. `now` must be
     /// monotonically non-decreasing across calls.
     pub fn handle(&mut self, now: SimTime, input: PumpInput, out: &mut CoreOutputs) -> f64 {
         match input {
@@ -346,7 +319,7 @@ impl PumpCore {
         let delivered = self.pump.delivered_since_last(now);
         let permitted = self.pump.is_permitted(now);
         if self.was_permitted != permitted {
-            self.permit_log.push((now, permitted));
+            out.record(Record::Permit(permitted));
             out.trace_with("pump", || {
                 if permitted { "delivery allowed" } else { "delivery disallowed" }.to_owned()
             });
@@ -361,7 +334,7 @@ impl PumpCore {
             if !self.local_failsafe && now.saturating_since(last) >= LOCAL_FAILSAFE_DEADLINE {
                 self.local_failsafe = true;
                 self.local_failsafe_entries += 1;
-                self.failsafe_log.push((now, true));
+                out.record(Record::Failsafe(true));
                 self.pump.suspend_bolus(now);
                 out.trace_with("pump", || {
                     "local fail-safe: supervision lost, boluses suspended".to_owned()
@@ -397,16 +370,16 @@ impl PumpCore {
         }
         self.max_epoch_seen = epoch;
         // Split-brain audit: within one epoch exactly one controller
-        // may command this pump.
-        match self.epoch_senders.get(&epoch) {
-            Some(&prev) if prev != from => {
-                self.double_actuations += 1;
-                out.trace_with("pump", || format!("double actuation in epoch {epoch}"));
+        // may command this pump. The fence above leaves `epoch` at
+        // least the slot's epoch, so the slot is the only entry needed.
+        match self.epoch_sender {
+            Some((e, prev)) if e == epoch => {
+                if prev != from {
+                    self.double_actuations += 1;
+                    out.trace_with("pump", || format!("double actuation in epoch {epoch}"));
+                }
             }
-            None => {
-                self.epoch_senders.insert(epoch, from);
-            }
-            _ => {}
+            _ => self.epoch_sender = Some((epoch, from)),
         }
         // Any accepted supervisory traffic feeds the watchdog.
         self.last_supervision = Some(now);
@@ -431,7 +404,7 @@ impl PumpCore {
                     self.pump.resume(now);
                     if self.local_failsafe {
                         self.local_failsafe = false;
-                        self.failsafe_log.push((now, false));
+                        out.record(Record::Failsafe(false));
                         out.trace_with("pump", || "local fail-safe released by resume".to_owned());
                     }
                     out.trace_with("pump", || "resume command applied".to_owned());

@@ -112,7 +112,7 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
         .enumerate()
         .map(|(i, b)| {
             let sup = sim.actor_as::<Supervisor>(b.sup_id).expect("supervisor");
-            let pump = sim.actor_as::<PumpActor>(b.pump_id).expect("pump").core();
+            let pump = sim.actor_as::<PumpActor>(b.pump_id).expect("pump");
             let end = config.duration.as_secs_f64() - 1.0;
             BedOutcome {
                 bed: i as u32,
@@ -124,9 +124,10 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
                     .map(|a| a.interlock().grants_issued())
                     .unwrap_or(0),
                 permitted_at_end: pump
+                    .history()
                     .was_permitted_at(SimTime::ZERO + SimDuration::from_secs_f64(end)),
                 patient: b.body.outcome(),
-                total_drug_mg: pump.pump().total_delivered_mg(),
+                total_drug_mg: pump.core().pump().total_delivered_mg(),
             }
         })
         .collect()

@@ -379,13 +379,16 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
 
     // --- harvest ----------------------------------------------------------
     let patient_actor = sim.actor_as::<PatientActor>(patient_id).expect("patient actor");
-    let pump = sim.actor_as::<PumpActor>(pump_id).expect("pump actor").core();
+    let pump_actor = sim.actor_as::<PumpActor>(pump_id).expect("pump actor");
+    let (pump, pump_history) = (pump_actor.core(), pump_actor.history());
     let danger_onset = patient_actor.danger_onset();
     let stop_latency_secs = danger_onset.and_then(|onset| {
-        if !pump.was_permitted_at(onset) {
+        if !pump_history.was_permitted_at(onset) {
             Some(0.0)
         } else {
-            pump.first_stop_at_or_after(onset).map(|t| t.saturating_since(onset).as_secs_f64())
+            pump_history
+                .first_stop_at_or_after(onset)
+                .map(|t| t.saturating_since(onset).as_secs_f64())
         }
     });
     let nc = sim.actor_as::<NetworkController>(nc_id).expect("netctl actor");
@@ -431,8 +434,8 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
         supervisor_epoch: 0,
         supervisor_stepdowns: 0,
         local_failsafe_entries: pump.local_failsafe_entries(),
-        failsafe_transitions_secs: pump
-            .failsafe_log()
+        failsafe_transitions_secs: pump_history
+            .failsafe_transitions()
             .iter()
             .map(|(t, latched)| (t.as_secs_f64(), *latched))
             .collect(),
@@ -441,8 +444,8 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
         grants_issued: 0,
         net_sent: nc.sent(),
         net_delivered: nc.delivered(),
-        permit_transitions_secs: pump
-            .permit_log()
+        permit_transitions_secs: pump_history
+            .permit_transitions()
             .iter()
             .map(|(t, p)| (t.as_secs_f64(), *p))
             .collect(),
@@ -454,7 +457,8 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
     // the primary's figures; with no interlock it stays all-zero.
     let run_end_secs = config.duration.as_secs_f64();
     for id in [sup_id, standby_id].into_iter().flatten() {
-        let sup = sim.actor_as::<Supervisor>(id).expect("supervisor actor").core();
+        let sup_actor = sim.actor_as::<Supervisor>(id).expect("supervisor actor");
+        let (sup, history) = (sup_actor.core(), sup_actor.history());
         out.associated |= sup.associated_at().is_some();
         out.associations_completed = out.associations_completed.max(sup.associations_completed());
         out.data_received += sup.data_received();
@@ -462,7 +466,8 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
         out.commands_retried += sup.commands_retried();
         out.commands_suppressed += sup.commands_suppressed();
         out.degraded_windows_secs.extend(
-            sup.degraded_log()
+            history
+                .degraded_windows()
                 .iter()
                 // A window still open at run end is closed at the run's
                 // end instant: leaving it `None` used to make terminal
@@ -481,8 +486,8 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
         for (key, n) in HEARTBEAT_KEYS.into_iter().zip([sent, acked, unanswered]) {
             out.telemetry.incr(key, n);
         }
-        for &ms in sup.heartbeat_rtts_ms() {
-            out.telemetry.observe("supervisor.heartbeat_rtt_ms", ms);
+        for rtt in history.heartbeat_rtts() {
+            out.telemetry.observe("supervisor.heartbeat_rtt_ms", rtt.as_secs_f64() * 1000.0);
         }
     }
     out.degraded_windows_secs.sort_by(|a, b| a.0.total_cmp(&b.0));

@@ -7,20 +7,24 @@
 //! # Sans-io split
 //!
 //! All decision logic lives in [`SupervisorCore`] (see [`sans_io`]), a
-//! pure state machine with no I/O and no clock of its own. The
-//! [`Supervisor`] actor in this module is a *thin adapter* holding only
-//! the core, the network controller's id and a reused output buffer.
+//! pure state machine with no I/O and no clock of its own, holding
+//! only the state its decisions read. The [`Supervisor`] actor in this
+//! module is a *thin adapter* holding the core, the network
+//! controller's id, a reused output buffer and the run's [`History`].
 //! Build and configure the core (role, redundancy, faults), then wrap
 //! it with [`Supervisor::from_core`]; read every counter and latch
-//! through [`Supervisor::core`]. On each event the adapter maps the
+//! through [`Supervisor::core`], and the degraded windows and heartbeat
+//! round trips through [`Supervisor::history`] — that is where the
+//! scenario harvests read them. On each event the adapter maps the
 //! kernel message to a [`CoreInput`], hands the core the actor's RNG
 //! stream and the current instant, and replays the buffered
 //! [`CoreOutputs`] onto the deterministic scheduler with the replay the
-//! device actors share: traces land in the kernel trace log, then sends
-//! become `NetOp::Send` messages to the network controller. Every
-//! `Tick` re-arms itself one step later. The live `mcps-serve` host
-//! drives the *same* core from wall-clock time and framed transports,
-//! so simulated and served supervisors are one implementation.
+//! device actors share: traces land in the kernel trace log, records in
+//! the history, then sends become `NetOp::Send` messages to the network
+//! controller. Every `Tick` re-arms itself one step later. The live
+//! `mcps-serve` host drives the *same* core from wall-clock time and
+//! framed transports and keeps no history, so simulated and served
+//! supervisors are one implementation and a served one does not grow.
 //!
 //! # Fault robustness
 //!
@@ -60,6 +64,7 @@ use mcps_runtime::time::{SimDuration, SimTime};
 
 use crate::actors::replay;
 use crate::app::ClinicalApp;
+use crate::history::History;
 use crate::manager::DeviceManager;
 use crate::msg::{IceMsg, NetOp};
 
@@ -71,11 +76,12 @@ pub struct Supervisor {
     netctl: ActorId,
     /// Reused output buffer (no steady-state allocation per event).
     out: CoreOutputs,
+    history: History,
 }
 
 impl Supervisor {
-    /// Creates a supervisor hosting `app`, with a command-RTT deadline
-    /// used for the E4 statistics and as the ack-expiry horizon.
+    /// Creates a supervisor hosting `app`. `rtt_deadline` is the
+    /// ack-expiry horizon (see [`SupervisorCore::new`]).
     pub fn new(
         app: impl ClinicalApp,
         netctl: ActorId,
@@ -87,7 +93,7 @@ impl Supervisor {
 
     /// Wraps an already configured core.
     pub fn from_core(core: SupervisorCore, netctl: ActorId) -> Self {
-        Supervisor { core, netctl, out: CoreOutputs::new() }
+        Supervisor { core, netctl, out: CoreOutputs::new(), history: History::new() }
     }
 
     /// Sets the control-tick re-arm period (see
@@ -100,6 +106,11 @@ impl Supervisor {
     /// The underlying sans-io core (every counter and latch lives there).
     pub fn core(&self) -> &SupervisorCore {
         &self.core
+    }
+
+    /// Degraded windows and heartbeat round trips so far.
+    pub fn history(&self) -> &History {
+        &self.history
     }
 
     /// The device manager (association state).
@@ -136,10 +147,10 @@ impl Actor<IceMsg> for Supervisor {
             IceMsg::PressButton | IceMsg::Net(NetOp::Send { .. }) => return,
         };
         let is_tick = matches!(input, CoreInput::Tick);
-        let Supervisor { core, netctl, out } = self;
+        let Supervisor { core, netctl, out, history } = self;
         out.begin(ctx.trace_enabled());
         core.handle(ctx.now(), input, ctx.rng(), out);
-        replay(ctx, *netctl, core.endpoint(), &core.fault, out);
+        replay(ctx, *netctl, core.endpoint(), &core.fault, out, history);
         // The driver owns the tick cadence: every tick re-arms, even
         // through crash windows and standby idling, so transient faults
         // recover and promotions can fire.
@@ -383,7 +394,7 @@ mod tests {
             s.inflight.values().all(|e| matches!(e.command, IceCommand::Heartbeat)),
             "expired command entries must be removed (only live heartbeats may remain)"
         );
-        assert_eq!(s.rtt().unanswered(), 1, "dead heartbeats must not pollute command RTTs");
+        assert_eq!(s.commands_unanswered(), 1, "dead heartbeats are not unanswered commands");
         let (hb_sent, _, hb_unanswered) = s.heartbeat_counts();
         assert!(hb_sent >= 2, "the pump is stop-capable, so it is heartbeated");
         assert!(hb_unanswered >= 1, "unanswered heartbeats land in their own counter");
@@ -415,9 +426,9 @@ mod tests {
         assert!(s.watchdog_escalations() >= 2);
         assert!(s.is_degraded(), "an unconfirmed stop must hold degraded mode");
         assert_eq!(s.alarm(), Some("stop-ack-lost"));
-        assert!(s.rtt().unanswered() >= 2, "each dead stop counts once, not per retry");
+        assert!(s.commands_unanswered() >= 2, "each dead stop counts once, not per retry");
         assert_eq!(
-            s.rtt().unanswered() * u64::from(MAX_RETRIES),
+            s.commands_unanswered() * u64::from(MAX_RETRIES),
             s.commands_retried(),
             "every dead stop ran a full retry cycle"
         );
@@ -471,10 +482,11 @@ mod tests {
             "must stay degraded inside the hysteresis window"
         );
         sim.run_until(back + SimDuration::from_secs(30));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
+        let sup = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sup.core();
         assert!(!s.is_degraded(), "healthy for > hysteresis window: degraded mode ends");
         assert!(s.alarm().is_none(), "alarm clears on exit");
-        let log = s.degraded_log();
+        let log = sup.history().degraded_windows();
         assert_eq!(log.len(), 1);
         assert!(log[0].1.is_some(), "the degraded window is closed");
         assert_eq!(s.associations_completed(), 2, "recovery counted as a hot-swap");
@@ -586,12 +598,14 @@ mod tests {
             }),
         );
         sim.run_until(at + SimDuration::from_secs(2));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
+        let sup = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sup.core();
         assert_eq!(s.role(), SupervisorRole::Standby);
         assert_eq!(s.stepdowns(), 1);
         assert!(!s.is_degraded(), "the higher-epoch primary owns the degraded state now");
         assert!(s.alarm().is_none());
-        assert!(s.degraded_log().last().unwrap().1.is_some(), "open window closed at stepdown");
+        let windows = sup.history().degraded_windows();
+        assert!(windows.last().unwrap().1.is_some(), "open window closed at stepdown");
         assert!(s.inflight.is_empty(), "inflight commands are abandoned at stepdown");
     }
 
@@ -661,12 +675,14 @@ mod tests {
             }),
         );
         sim.run_until(t2 + SimDuration::from_secs(1));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap().core();
+        let sup = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = sup.core();
         let (hb_sent, hb_acked, _) = s.heartbeat_counts();
         assert!(hb_sent >= 4);
         assert_eq!(hb_acked, 1, "only the inflight-matched ack counts toward RTTs");
-        assert_eq!(s.heartbeat_rtts_ms().len(), 1);
-        assert!(s.heartbeat_rtts_ms()[0] >= 999.0, "RTT measured from the heartbeat send");
+        let rtts = sup.history().heartbeat_rtts();
+        assert_eq!(rtts.len(), 1);
+        assert!(rtts[0] >= SimDuration::from_millis(999), "RTT measured from the heartbeat send");
         assert_eq!(s.commands_sent(), 2, "the grant plus exactly one fail-safe release ResumePump");
         assert!(
             s.inflight.values().any(|e| matches!(e.command, IceCommand::ResumePump)),

@@ -23,12 +23,12 @@
 use mcps_device::faults::{FaultKind, FaultPlan};
 use mcps_device::profile::CommandKind;
 use mcps_net::fabric::{EndpointId, Topic};
-use mcps_net::monitor::DeadlineTracker;
 use mcps_runtime::rng::SimRng;
 use mcps_runtime::time::{SimDuration, SimTime};
 use mcps_safety::timing;
 
 use crate::app::{AppCtx, ClinicalApp};
+use crate::history::Record;
 use crate::manager::{AssociationOutcome, DeviceManager};
 use crate::msg::{IceCommand, NetAddress, NetPayload};
 use crate::netctl::topics;
@@ -129,8 +129,8 @@ pub enum SupervisorRole {
 pub(crate) struct InflightCommand {
     pub(crate) command: IceCommand,
     pub(crate) endpoint: EndpointId,
-    /// Original transmission instant (RTTs are measured from here, so a
-    /// retried command's latency includes the retransmission delay).
+    /// Original transmission instant (heartbeat round trips are
+    /// measured from here).
     pub(crate) first_sent_at: SimTime,
     /// Most recent transmission instant (retry timers run from here).
     pub(crate) sent_at: SimTime,
@@ -160,9 +160,10 @@ pub enum CoreInput {
 /// [`PumpCore`](crate::pump_core::PumpCore).
 ///
 /// Drivers call [`CoreOutputs::begin`] before each `handle`, then drain
-/// `sends` onto their transport/scheduler and `traces` into their log.
-/// The buffers are reused across calls, so steady-state handling does
-/// not allocate.
+/// `sends` onto their transport/scheduler and `traces` into their log,
+/// and — if they keep one — append `records` to a
+/// [`History`](crate::history::History). The buffers are reused across
+/// calls, so steady-state handling does not allocate.
 #[derive(Debug, Default)]
 pub struct CoreOutputs {
     /// Outgoing network messages `(to, payload)`, in send order. The
@@ -170,6 +171,9 @@ pub struct CoreOutputs {
     pub sends: Vec<(NetAddress, NetPayload)>,
     /// Trace records `(category, message)`, in emission order.
     pub traces: Vec<(&'static str, String)>,
+    /// Decision records of this call, in emission order. The core
+    /// keeps no history of its own; these are its only trace of it.
+    pub records: Vec<Record>,
     trace_enabled: bool,
     traces_built: u64,
     traces_suppressed: u64,
@@ -186,6 +190,7 @@ impl CoreOutputs {
     pub fn begin(&mut self, trace_enabled: bool) {
         self.sends.clear();
         self.traces.clear();
+        self.records.clear();
         self.trace_enabled = trace_enabled;
     }
 
@@ -208,6 +213,10 @@ impl CoreOutputs {
 
     pub(crate) fn send(&mut self, to: NetAddress, payload: NetPayload) {
         self.sends.push((to, payload));
+    }
+
+    pub(crate) fn record(&mut self, record: Record) {
+        self.records.push(record);
     }
 
     /// Lazily records a trace: the message closure runs only when
@@ -257,14 +266,17 @@ pub struct SupervisorCore {
     pub(crate) commands_suppressed: u64,
     /// Id for the next outgoing command (unique per supervisor).
     pub(crate) next_command_id: u64,
-    /// Outstanding commands for RTT measurement and retry, keyed by
+    /// Outstanding commands awaiting acks, for retry and expiry, keyed by
     /// command id so concurrent commands of the same kind pair with
     /// their own acks. Entries are bounded: every command either acks
     /// or expires at its deadline (after retries, if retryable).
     /// Sorted-vec map: ids are issued monotonically, so inserts are
     /// pushes and iteration order matches the former `BTreeMap`.
     pub(crate) inflight: VecMap<u64, InflightCommand>,
-    pub(crate) rtt: DeadlineTracker,
+    /// Commands (not heartbeats) that expired without an ack.
+    pub(crate) commands_unanswered: u64,
+    /// Ack-expiry horizon: how long an unacknowledged command waits
+    /// before it is retried or given up on.
     pub(crate) rtt_deadline: SimDuration,
     pub(crate) associated_at: Option<SimTime>,
     /// Degraded-mode state: set while the supervisor distrusts the
@@ -272,8 +284,6 @@ pub struct SupervisorCore {
     pub(crate) degraded: bool,
     /// Latched alarm reason; survives until the hysteretic exit.
     pub(crate) alarm: Option<&'static str>,
-    /// Closed and open degraded windows, oldest first.
-    pub(crate) degraded_log: Vec<(SimTime, Option<SimTime>)>,
     /// Instant since which the system has looked continuously healthy.
     pub(crate) healthy_since: Option<SimTime>,
     /// Whether the degrade path itself halted stop-capable devices (and
@@ -325,8 +335,6 @@ pub struct SupervisorCore {
     pub(crate) hb_sent: u64,
     pub(crate) hb_acked: u64,
     pub(crate) hb_unanswered: u64,
-    /// Heartbeat round-trips, milliseconds, in completion order.
-    pub(crate) hb_rtt_ms: Vec<f64>,
     /// Last heartbeat-ack instant per endpoint, for fail-safe release.
     pub(crate) hb_last_acked: VecMap<EndpointId, SimTime>,
 }
@@ -343,9 +351,9 @@ impl std::fmt::Debug for SupervisorCore {
 }
 
 impl SupervisorCore {
-    /// Creates a core hosting `app`, publishing from `endpoint`, with a
-    /// command-RTT deadline used for the E4 statistics and as the
-    /// ack-expiry horizon.
+    /// Creates a core hosting `app`, publishing from `endpoint`.
+    /// `rtt_deadline` is the ack-expiry horizon: an unacknowledged
+    /// command waits this long before it is retried or given up on.
     pub fn new(app: impl ClinicalApp, endpoint: EndpointId, rtt_deadline: SimDuration) -> Self {
         let manager = DeviceManager::new(app.requirements());
         SupervisorCore {
@@ -363,12 +371,11 @@ impl SupervisorCore {
             commands_suppressed: 0,
             next_command_id: 0,
             inflight: VecMap::new(),
-            rtt: DeadlineTracker::new(rtt_deadline),
+            commands_unanswered: 0,
             rtt_deadline,
             associated_at: None,
             degraded: false,
             alarm: None,
-            degraded_log: Vec::new(),
             healthy_since: None,
             degrade_stop_sent: false,
             stop_unconfirmed: false,
@@ -391,7 +398,6 @@ impl SupervisorCore {
             hb_sent: 0,
             hb_acked: 0,
             hb_unanswered: 0,
-            hb_rtt_ms: Vec::new(),
             hb_last_acked: VecMap::new(),
         }
     }
@@ -440,7 +446,9 @@ impl SupervisorCore {
     /// inherited so no device dedup window ever sees a reused
     /// `(epoch, id)`, and the degraded / stop-unconfirmed latches are
     /// adopted so a restart cannot silently forget an active alarm or
-    /// an unconfirmed pump state. Timeline-relative state
+    /// an unconfirmed pump state (the inherited latch is the
+    /// `degraded` flag; no degraded-entry record is emitted for it).
+    /// Timeline-relative state
     /// (`last_data`) is deliberately discarded: the restarted process
     /// starts a fresh clock and devices re-announce and re-stream.
     pub fn resume_from(mut self, ckpt: &CheckpointState) -> Self {
@@ -458,7 +466,6 @@ impl SupervisorCore {
             } else {
                 "restored-degraded"
             });
-            self.degraded_log.push((SimTime::ZERO, None));
         }
         self
     }
@@ -512,9 +519,10 @@ impl SupervisorCore {
         self.commands_suppressed
     }
 
-    /// Command round-trip statistics.
-    pub fn rtt(&self) -> &DeadlineTracker {
-        &self.rtt
+    /// Commands (heartbeats excluded) that expired without an ack;
+    /// a retried command counts once.
+    pub fn commands_unanswered(&self) -> u64 {
+        self.commands_unanswered
     }
 
     /// When association (first) completed, if it did.
@@ -535,12 +543,6 @@ impl SupervisorCore {
     /// The latched alarm reason, if an alarm is active.
     pub fn alarm(&self) -> Option<&'static str> {
         self.alarm
-    }
-
-    /// Degraded windows `(entered, exited)`, oldest first; an open
-    /// window has `None` as its exit.
-    pub fn degraded_log(&self) -> &[(SimTime, Option<SimTime>)] {
-        &self.degraded_log
     }
 
     /// Times the ack watchdog escalated a lost stop command.
@@ -576,11 +578,6 @@ impl SupervisorCore {
     /// Heartbeats sent / acknowledged / given up on.
     pub fn heartbeat_counts(&self) -> (u64, u64, u64) {
         (self.hb_sent, self.hb_acked, self.hb_unanswered)
-    }
-
-    /// Heartbeat round-trip times, milliseconds, in completion order.
-    pub fn heartbeat_rtts_ms(&self) -> &[f64] {
-        &self.hb_rtt_ms
     }
 
     /// Command ids the peer reported inflight in its last checkpoint.
@@ -715,8 +712,7 @@ impl SupervisorCore {
                 if matches!(command, IceCommand::Heartbeat) {
                     if let Some(e) = self.inflight.remove(&id) {
                         self.hb_acked += 1;
-                        let rtt = now.saturating_since(e.first_sent_at);
-                        self.hb_rtt_ms.push(rtt.as_secs_f64() * 1000.0);
+                        out.record(Record::HeartbeatRtt(now.saturating_since(e.first_sent_at)));
                     }
                     // A supervision gap at least as long as the
                     // device's local fail-safe deadline means its
@@ -739,7 +735,6 @@ impl SupervisorCore {
                     return;
                 }
                 if let Some(e) = self.inflight.remove(&id) {
-                    self.rtt.record(now.saturating_since(e.first_sent_at));
                     if matches!(e.command, IceCommand::StopPump) {
                         // A confirmed stop: the pump is reachable
                         // and halted, so the watchdog latch clears.
@@ -823,8 +818,8 @@ impl SupervisorCore {
     /// Sends one supervision heartbeat to `ep`. Heartbeats ride the
     /// normal command channel (id-paired acks, same inflight table) but
     /// are never retried — the next period is the retry — and an
-    /// expired one counts against the heartbeat statistics, not the
-    /// command RTT deadline figures.
+    /// expired one counts as an unanswered heartbeat, not as an
+    /// unanswered command.
     fn send_heartbeat(&mut self, now: SimTime, out: &mut CoreOutputs, ep: EndpointId) {
         self.hb_sent += 1;
         let id = self.next_command_id;
@@ -899,11 +894,7 @@ impl SupervisorCore {
         self.next_heartbeat = None;
         self.next_checkpoint = None;
         if self.degraded {
-            if let Some(last) = self.degraded_log.last_mut() {
-                if last.1.is_none() {
-                    last.1 = Some(now);
-                }
-            }
+            out.record(Record::Degraded(false));
         }
         self.degraded = false;
         self.alarm = None;
@@ -991,7 +982,7 @@ impl SupervisorCore {
                 self.hb_unanswered += 1;
                 continue;
             }
-            self.rtt.record_unanswered();
+            self.commands_unanswered += 1;
             out.trace_with("app", || format!("command id {id} unanswered; giving up"));
             if e.retryable && matches!(e.command, IceCommand::StopPump) {
                 // A stop we cannot confirm is a lost pump: fail safe.
@@ -1032,7 +1023,7 @@ impl SupervisorCore {
         self.degraded = true;
         self.alarm = Some(reason);
         self.healthy_since = None;
-        self.degraded_log.push((now, None));
+        out.record(Record::Degraded(true));
         out.trace_with("alarm", || format!("degraded mode entered: {reason}"));
         for ep in self.stop_capable_endpoints() {
             self.degrade_stop_sent = true;
@@ -1067,9 +1058,7 @@ impl SupervisorCore {
         self.degraded = false;
         self.alarm = None;
         self.healthy_since = None;
-        if let Some(last) = self.degraded_log.last_mut() {
-            last.1 = Some(now);
-        }
+        out.record(Record::Degraded(false));
         out.trace_with("alarm", || "degraded mode exited: system healthy again".to_owned());
         if self.degrade_stop_sent {
             self.degrade_stop_sent = false;

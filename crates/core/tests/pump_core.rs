@@ -10,9 +10,9 @@
 //! sim side hosts a `PumpActor` inside a `Simulation` — self-scheduled
 //! ticks, kernel sends, the patient body infused. Fed the same seeded
 //! program of commands and button presses, the two must agree on every
-//! send (time, destination, payload), the permission and fail-safe
-//! logs, the bolus decisions, the counters, the drug delivered and the
-//! trace records.
+//! send (time, destination, payload), the recorded permission and
+//! fail-safe histories, the bolus decisions, the counters, the drug
+//! delivered and the trace records.
 //!
 //! The programs come from two controller endpoints and mix what the
 //! failover protocol throws at a pump: heartbeats, fresh commands,
@@ -25,7 +25,7 @@
 
 use mcps_core::actors::PumpActor;
 use mcps_core::{
-    CoreOutputs, IceCommand, IceMsg, NetAddress, NetOp, NetPayload, PatientBody, PumpCore,
+    CoreOutputs, History, IceCommand, IceMsg, NetAddress, NetOp, NetPayload, PatientBody, PumpCore,
     PumpInput,
 };
 use mcps_device::faults::{FaultKind, FaultPlan};
@@ -133,8 +133,7 @@ fn program(seed: u64, ticket_mode: bool, supervised: bool) -> Program {
 struct Observed {
     sends: Vec<(SimTime, NetAddress, NetPayload)>,
     traces: Vec<(SimTime, String, String)>,
-    permit_log: Vec<(SimTime, bool)>,
-    failsafe_log: Vec<(SimTime, bool)>,
+    history: History,
     decisions: BTreeMap<&'static str, u32>,
     /// duplicate, fenced, double actuations, max epoch, latch entries.
     counters: [u64; 5],
@@ -145,6 +144,7 @@ struct Observed {
 
 fn observe(
     core: &PumpCore,
+    history: History,
     sends: Vec<(SimTime, NetAddress, NetPayload)>,
     traces: Vec<(SimTime, String, String)>,
     patient_received_mg: f64,
@@ -152,8 +152,7 @@ fn observe(
     Observed {
         sends,
         traces,
-        permit_log: core.permit_log().to_vec(),
-        failsafe_log: core.failsafe_log().to_vec(),
+        history,
         decisions: core.decisions().clone(),
         counters: [
             core.duplicate_commands(),
@@ -217,15 +216,16 @@ fn run_actor(p: &Program) -> Observed {
         })
         .collect();
     let sends = std::mem::take(&mut sim.actor_as_mut::<Recorder>(recorder).unwrap().sends);
-    let core = sim.actor_as::<PumpActor>(pump).unwrap().core();
-    observe(core, sends, traces, body.total_drug_mg())
+    let actor = sim.actor_as::<PumpActor>(pump).unwrap();
+    observe(actor.core(), actor.history().clone(), sends, traces, body.total_drug_mg())
 }
 
 /// A bare `PumpCore` driven as the live bed drives it. Keeps every
-/// send, trace and milligram delivered.
+/// send, trace, record and milligram delivered.
 struct Bed {
     core: PumpCore,
     out: CoreOutputs,
+    history: History,
     next_tick: SimTime,
     sends: Vec<(SimTime, NetAddress, NetPayload)>,
     traces: Vec<(SimTime, String, String)>,
@@ -237,6 +237,7 @@ impl Bed {
         Bed {
             core,
             out: CoreOutputs::new(),
+            history: History::new(),
             next_tick: SimTime::ZERO,
             sends: Vec::new(),
             traces: Vec::new(),
@@ -249,6 +250,7 @@ impl Bed {
         // The adapter infuses only positive amounts; adding zero is the
         // same sum.
         self.delivered_mg += self.core.handle(at, input, &mut self.out);
+        self.history.extend(at, &self.out.records);
         self.sends.extend(self.out.sends.drain(..).map(|(to, payload)| (at, to, payload)));
         self.traces.extend(self.out.traces.drain(..).map(|(c, m)| (at, c.to_owned(), m)));
     }
@@ -288,8 +290,8 @@ fn run_bed(p: &Program) -> Observed {
         bed.at(t, input);
     }
     bed.run_until(p.end);
-    let Bed { core, sends, traces, delivered_mg, .. } = bed;
-    observe(&core, sends, traces, delivered_mg)
+    let Bed { core, history, sends, traces, delivered_mg, .. } = bed;
+    observe(&core, history, sends, traces, delivered_mg)
 }
 
 fn secs(s: u64) -> SimTime {
@@ -312,7 +314,7 @@ fn pump_applies_commands_and_acks() {
     assert_eq!(r.core.pump().state(), PumpState::Stopped(StopReason::Command));
     assert_eq!(r.acks(), [(NetAddress::Endpoint(PRIMARY), secs(5))], "stop must be acknowledged");
     // Permission transition was logged.
-    assert!(r.core.first_stop_at_or_after(SimTime::ZERO).is_some());
+    assert!(r.history.first_stop_at_or_after(SimTime::ZERO).is_some());
 }
 
 #[test]
@@ -383,9 +385,10 @@ fn pump_watchdog_latches_on_silence_and_resume_releases() {
     // the fail-safe — proof the resume released the latch (suspension
     // outranks lockout, so a held latch would say "suspended" here).
     assert_eq!(core.decisions().get("locked-out"), Some(&1), "t=55 denial is lockout");
-    let latch = core.failsafe_log().first().expect("latch transition logged");
+    let latches = r.history.failsafe_transitions();
+    let latch = latches.first().expect("latch transition logged");
     assert!(latch.0 >= secs(25) && latch.0 <= secs(27), "{latch:?}");
-    assert_eq!(core.failsafe_log().last(), Some(&(secs(50), false)));
+    assert_eq!(latches.last(), Some(&(secs(50), false)));
     // The heartbeat was acked (plus the resume's ack).
     assert_eq!(r.acks().len(), 2);
 }

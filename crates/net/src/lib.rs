@@ -6,8 +6,6 @@
 //!   scheduled outages,
 //! * [`fabric`] — endpoints, directed links and publish/subscribe
 //!   topic routing with per-link statistics,
-//! * [`monitor`] — stream-freshness and command-deadline tracking, the
-//!   raw material of fail-safe logic,
 //! * [`reference`](mod@reference) — the original tree-routed fabric, kept as the
 //!   behavioural baseline the dense engine is property-tested against.
 //!
@@ -51,10 +49,8 @@
 #![warn(missing_docs)]
 
 pub mod fabric;
-pub mod monitor;
 pub mod qos;
 pub mod reference;
 
 pub use fabric::{EndpointId, Fabric, LinkStats, PlannedDelivery, Topic, TopicId};
-pub use monitor::{DeadlineTracker, FreshnessMonitor};
 pub use qos::{Delivery, LinkQos, OutagePlan};

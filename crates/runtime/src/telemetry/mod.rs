@@ -59,14 +59,9 @@ impl Histogram {
         Summary::from_values(&self.values)
     }
 
-    /// Appends all of `other`'s observations.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.values.extend_from_slice(&other.values);
-    }
-
     /// Appends all of `other`'s observations by move. When `self` is
     /// empty this is a buffer swap, not a copy.
-    pub fn merge_owned(&mut self, mut other: Histogram) {
+    pub fn merge(&mut self, mut other: Histogram) {
         if self.values.is_empty() {
             std::mem::swap(&mut self.values, &mut other.values);
         } else {
@@ -131,49 +126,14 @@ impl Telemetry {
         &self.manifest
     }
 
-    /// All counter names, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
-    /// All histogram names, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
-    /// All series names, sorted.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
-    }
-
-    /// Folds `other` into `self`: counters add, histograms concatenate,
-    /// series points interleave by time (stable for disjoint shards),
-    /// manifest entries from `other` win on key collision.
-    pub fn merge(&mut self, other: &Telemetry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, s) in &other.series {
-            let dst = self.series.entry(k.clone()).or_default();
-            for &(at, v) in s.points() {
-                dst.record_unordered(at, v);
-            }
-        }
-        for (k, v) in &other.manifest {
-            self.manifest.insert(k.clone(), v.clone());
-        }
-    }
-
-    /// [`Self::merge`] by move: consumes `other`, transferring its
-    /// `String` keys and observation buffers instead of cloning and
-    /// re-allocating them. Produces a bus identical to `merge` — the
-    /// only difference is cost. This is the shard-merge hot path at
-    /// campus cardinality, where tens of thousands of counter names
-    /// would otherwise be re-allocated once per shard.
-    pub fn merge_owned(&mut self, other: Telemetry) {
+    /// Folds `other` into `self` by move: counters add, histograms
+    /// concatenate, series points interleave by time (stable for
+    /// disjoint shards), manifest entries from `other` win on key
+    /// collision. `other`'s `String` keys and observation buffers are
+    /// transferred, not cloned — at campus cardinality tens of
+    /// thousands of counter names would otherwise be re-allocated once
+    /// per shard.
+    pub fn merge(&mut self, other: Telemetry) {
         for (k, v) in other.counters {
             *self.counters.entry(k).or_insert(0) += v;
         }
@@ -182,7 +142,7 @@ impl Telemetry {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(h);
                 }
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge_owned(h),
+                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(h),
             }
         }
         for (k, s) in other.series {
@@ -204,23 +164,6 @@ impl Telemetry {
         for (k, v) in other.manifest {
             self.manifest.insert(k, v);
         }
-    }
-
-    /// Deterministic k-way merge of per-shard buses, consuming them.
-    /// Shard order is input order, so the result is byte-identical to
-    /// folding the shards into an empty bus with [`Self::merge`] —
-    /// verified by the `merge_many_matches_sequential_merge` test —
-    /// while the first shard seeds the accumulator for free and every
-    /// key/buffer moves instead of cloning.
-    pub fn merge_many(shards: Vec<Telemetry>) -> Telemetry {
-        let mut shards = shards.into_iter();
-        let Some(mut acc) = shards.next() else {
-            return Telemetry::new();
-        };
-        for shard in shards {
-            acc.merge_owned(shard);
-        }
-        acc
     }
 
     /// A plain-text report of every counter and histogram summary, for
@@ -271,7 +214,7 @@ mod tests {
         }
         let mut b = Histogram::default();
         b.record(4.0);
-        a.merge(&b);
+        a.merge(b);
         assert_eq!(a.count(), 4);
         let s = a.summary();
         assert_eq!(s.n, 4);
@@ -292,7 +235,7 @@ mod tests {
         b.record("hr", SimTime::from_secs(2), 72.0);
         b.annotate("shards", "2");
 
-        a.merge(&b);
+        a.merge(b);
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.histogram("lat").unwrap().count(), 2);
         assert_eq!(a.series("hr").unwrap().len(), 2);
@@ -310,11 +253,11 @@ mod tests {
         s2.record("x", SimTime::from_secs(2), 2.0);
 
         let mut ab = Telemetry::new();
-        ab.merge(&s1);
-        ab.merge(&s2);
+        ab.merge(s1.clone());
+        ab.merge(s2.clone());
         let mut ba = Telemetry::new();
-        ba.merge(&s2);
-        ba.merge(&s1);
+        ba.merge(s2);
+        ba.merge(s1);
         assert_eq!(ab, ba);
         assert_eq!(
             ab.series("x").unwrap().points(),
@@ -324,42 +267,6 @@ mod tests {
                 (SimTime::from_secs(3), 3.0)
             ]
         );
-    }
-
-    #[test]
-    fn merge_many_matches_sequential_merge() {
-        // Build shards with overlapping and disjoint keys across every
-        // channel, then check the owned k-way merge is byte-identical
-        // (PartialEq and serialized JSON) to the clone-based fold.
-        let mut shards = Vec::new();
-        for i in 0..5u64 {
-            let mut t = Telemetry::new();
-            t.incr("events", i + 1);
-            t.incr(&format!("shard.{i}.local"), 7);
-            t.observe("lat", i as f64);
-            t.observe(&format!("lat.{}", i % 2), i as f64 * 0.5);
-            // Interleaved timestamps across shards, sorted within each.
-            t.record("hr", SimTime::from_micros(i), 60.0 + i as f64);
-            t.record("hr", SimTime::from_micros(i + 10), 70.0 + i as f64);
-            t.annotate("seed", format!("{i}"));
-            shards.push(t);
-        }
-
-        let mut folded = Telemetry::new();
-        for s in &shards {
-            folded.merge(s);
-        }
-        let kway = Telemetry::merge_many(shards);
-        assert_eq!(kway, folded);
-        assert_eq!(serde_json::to_string(&kway).unwrap(), serde_json::to_string(&folded).unwrap());
-    }
-
-    #[test]
-    fn merge_many_of_empty_and_single() {
-        assert_eq!(Telemetry::merge_many(Vec::new()), Telemetry::new());
-        let mut t = Telemetry::new();
-        t.incr("n", 3);
-        assert_eq!(Telemetry::merge_many(vec![t.clone()]), t);
     }
 
     #[test]

@@ -13,13 +13,18 @@
 //! while the pump's safety behaviour stays real. The bed has no patient
 //! model, so the drug the pump delivers goes nowhere.
 //!
+//! The pump core keeps no history; the client stamps the permission and
+//! fail-safe records each call emits into its own [`History`], which is
+//! where [`PcaBedClient::first_stop_at_or_after`] and the harnesses'
+//! latch checks ([`PcaBedClient::history`]) read them.
+//!
 //! Endpoint numbering follows the standard PCA bed wiring: oximeter 0,
 //! capnograph 1, pump 2, supervisor 3.
 
 use crate::clock::ServeClock;
 use crate::transport::{Transport, TransportError};
 use mcps_core::msg::{NetAddress, NetOp, NetPayload};
-use mcps_core::{CoreOutputs, PumpCore, PumpInput};
+use mcps_core::{CoreOutputs, History, PumpCore, PumpInput};
 use mcps_device::pump::{PcaPump, PcaPumpConfig};
 use mcps_net::fabric::EndpointId;
 use mcps_patient::vitals::VitalKind;
@@ -65,6 +70,8 @@ pub struct PcaBedClient<T: Transport> {
     pump: PumpCore,
     /// The pump core's output buffer; tracing is always off on the bed.
     out: CoreOutputs,
+    /// The pump's permission and fail-safe transitions.
+    history: History,
     next_tick: SimTime,
     /// Commands and button presses not yet handed to the pump.
     pending: Vec<PumpInput>,
@@ -98,6 +105,7 @@ impl<T: Transport> PcaBedClient<T> {
         PcaBedClient {
             pump,
             out: CoreOutputs::new(),
+            history: History::new(),
             next_tick: SimTime::ZERO,
             pending: Vec::new(),
             transport,
@@ -228,7 +236,12 @@ impl<T: Transport> PcaBedClient<T> {
     /// First instant at or after `at` the pump's delivery permission
     /// dropped (a stop command or the fail-safe latch).
     pub fn first_stop_at_or_after(&self, at: SimTime) -> Option<SimTime> {
-        self.pump.first_stop_at_or_after(at)
+        self.history.first_stop_at_or_after(at)
+    }
+
+    /// The pump's permission and fail-safe transitions so far.
+    pub fn history(&self) -> &History {
+        &self.history
     }
 
     /// The bed's pump core, for deeper assertions.
@@ -241,12 +254,13 @@ impl<T: Transport> PcaBedClient<T> {
         &self.out
     }
 
-    /// Feeds one input to the pump and forwards what it sends: every
-    /// bed device talks only to the supervisor, so the transport is
-    /// the route.
+    /// Feeds one input to the pump, records its transitions and
+    /// forwards what it sends: every bed device talks only to the
+    /// supervisor, so the transport is the route.
     fn dispatch(&mut self, at: SimTime, input: PumpInput) {
         self.out.begin(false);
         self.pump.handle(at, input, &mut self.out);
+        self.history.extend(at, &self.out.records);
         let mut sends = std::mem::take(&mut self.out.sends);
         for (_, payload) in sends.drain(..) {
             self.push(NetOp::Deliver { from: PUMP_EP, payload });

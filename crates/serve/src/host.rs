@@ -343,6 +343,10 @@ impl<T: Transport> ServeHost<T> {
         self.stats.ingress_peak = self.stats.ingress_peak.max(self.ingress.len() as u64);
     }
 
+    /// Feeds one input to the core and routes its sends. The core's
+    /// decision records are left for the next `begin` to clear: a
+    /// served supervisor keeps no history, so it does not grow with
+    /// its uptime.
     fn dispatch(&mut self, now: SimTime, input: CoreInput) {
         self.out.begin(self.trace);
         self.core.handle(now, input, &mut self.rng, &mut self.out);

@@ -102,12 +102,12 @@ fn sigkill_mid_bolus_engages_local_failsafe_within_deadline() {
         client.sim_now().saturating_since(killed_at)
     );
     let latch_at = client
-        .pump()
-        .failsafe_log()
+        .history()
+        .failsafe_transitions()
         .iter()
         .find(|&&(_, engaged)| engaged)
         .map(|&(at, _)| at)
-        .expect("failsafe log records the latch");
+        .expect("the history records the latch");
     let reaction = latch_at.saturating_since(killed_at);
     assert!(
         reaction <= deadline,
